@@ -5,7 +5,11 @@
 //     vs the QServe-style baseline — the machine-checked version of the
 //     paper's "two instructions per four elements" claim; and
 //   * real CPU ns/element of each path, a second, hardware-independent
-//     witness that the LQQ sequence is fundamentally cheaper.
+//     witness that the LQQ sequence is fundamentally cheaper; and
+//   * BM_FusedW4A8DotM4/<build>/<projection>: the AVX2 provider's W4A8 row
+//     kernel at M=4 on one LLaMA-2-7B TP-4 decoder layer, once per build the
+//     CPU can run (vnni: vpdpbusd on the UINT8 dequant result; widen: int16
+//     madd).  This is the layer number behind the provider's CPUID choice.
 
 #include <benchmark/benchmark.h>
 
@@ -15,6 +19,9 @@
 
 #include "core/dequant/dequant.hpp"
 #include "core/gemm/gemm.hpp"
+#include "core/gemm/kernels.hpp"
+#include "serving/model_config.hpp"
+#include "serving/tensor_parallel.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
@@ -116,6 +123,44 @@ void RegisterFusedDequantDotBenchmarks() {
   }
 }
 
+void RegisterFusedW4A8DotBenchmarks() {
+  constexpr std::size_t kM = 4;
+  static constexpr const char* kNames[] = {"qkv", "o", "gate_up", "down"};
+  const auto calls =
+      serving::ShardModel(serving::LlmConfig::Llama2_7B(), 4).LayerGemms(kM);
+  for (const detail::W4A8Dot dot :
+       {detail::W4A8Dot::kWiden, detail::W4A8Dot::kVnni}) {
+    if (!detail::W4A8DotAvailable(dot)) continue;
+    for (std::size_t i = 0; i < calls.size() && i < 4; ++i) {
+      const std::size_t n = calls[i].shape.n;
+      const std::size_t k = calls[i].shape.k;
+      benchmark::RegisterBenchmark(
+          (std::string("BM_FusedW4A8DotM4/") + detail::W4A8DotName(dot) +
+           "/" + kNames[i])
+              .c_str(),
+          [dot, n, k](benchmark::State& state) {
+            Rng rng(3);
+            MatrixF x(kM, k);
+            for (auto& v : x.Flat()) v = static_cast<float>(rng.Normal(0, 1));
+            const QuantizedActivations xq = QuantizeActivationsPerToken(x);
+            const LqqWeights w = MakeLqq(n, k);
+            const detail::GemmKernelTable& kernels =
+                detail::Avx2KernelsWith(dot);
+            for (auto _ : state) {
+              MatrixF y = kernels.w4a8_lqq(xq, w);
+              benchmark::DoNotOptimize(y.data());
+            }
+            // Items are weight elements, each dequantized once and dotted
+            // against all kM tokens.
+            state.SetItemsProcessed(
+                static_cast<std::int64_t>(state.iterations()) *
+                static_cast<std::int64_t>(n * k));
+          })
+          ->Unit(benchmark::kMicrosecond);
+    }
+  }
+}
+
 void PrintInstructionMix() {
   IsaCounter lqq;
   (void)LqqDequant8(0x12345678u, 16, 100, &lqq);
@@ -145,6 +190,7 @@ void PrintInstructionMix() {
 int main(int argc, char** argv) {
   PrintInstructionMix();
   RegisterFusedDequantDotBenchmarks();
+  RegisterFusedW4A8DotBenchmarks();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

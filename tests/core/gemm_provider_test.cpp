@@ -8,16 +8,24 @@
 // epilogue expression is identical across providers.  Float kernels (fp32,
 // fp16, W4A16) differ only by accumulation order, so they are held to a tight
 // relative-Frobenius tolerance.
+//
+// The AVX2 provider's W4A8 row kernel has two builds (vpdpbusd and an
+// int16-widening dot) chosen from CPUID; W4A8DotParity runs each one through
+// the detail::Avx2KernelsWith seam, so both are checked on a host that can
+// run them regardless of which one the provider picks.
 
 #include "core/gemm/gemm.hpp"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <stdexcept>
 #include <string>
 
+#include "core/gemm/kernels.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
+#include "util/swar.hpp"
 
 namespace liquid {
 namespace {
@@ -50,13 +58,122 @@ class ProviderGuard {
 };
 
 void ExpectBitIdentical(const MatrixF& ref, const MatrixF& got,
-                        GemmProvider p, const char* kernel) {
+                        const std::string& who, const char* kernel) {
   ASSERT_EQ(ref.rows(), got.rows());
   ASSERT_EQ(ref.cols(), got.cols());
   for (std::size_t i = 0; i < ref.size(); ++i) {
     ASSERT_EQ(ref.Flat()[i], got.Flat()[i])
-        << kernel << " provider=" << GemmProviderName(p) << " flat index " << i;
+        << kernel << " " << who << " flat index " << i;
   }
+}
+
+void ExpectBitIdentical(const MatrixF& ref, const MatrixF& got,
+                        GemmProvider p, const char* kernel) {
+  ExpectBitIdentical(ref, got, std::string("provider=") + GemmProviderName(p),
+                     kernel);
+}
+
+// W4A8 parity shapes, shared by the provider and dot-variant sweeps.  M=5
+// and M=9 leave one token past a 4-token block; small groups leave ragged
+// register groups (scalar tail of the fused LUT dequant).
+struct W4A8Shape {
+  std::size_t m, n, k, group;
+};
+
+constexpr W4A8Shape kLqqShapes[] = {
+    {1, 5, 40, 8},     // 5 registers: below the 8-register vector chunk
+    {3, 33, 72, 8},    // 9 registers per group boundary: vector + tail
+    {16, 7, 96, 16},   //
+    {4, 12, 128, 64},  // paper-default group, one vector chunk per group
+    {2, 3, 320, 64},   // several chunks per row
+    {5, 17, 256, 64},  // token-block edge: 4 + 1
+    {9, 10, 192, 64},  // token-block edge: 4 + 4 + 1
+};
+
+constexpr W4A8Shape kQserveShapes[] = {
+    {1, 5, 40, 8},
+    {3, 33, 72, 24},    // 3 registers per group: pure scalar-tail groups
+    {16, 7, 96, 16},
+    {4, 12, 256, 128},  // QServe-default group
+    {5, 9, 256, 128},   // token-block edge: 4 + 1
+    {9, 6, 384, 128},   // token-block edge: 4 + 4 + 1
+};
+
+constexpr W4A8Shape kDualMmaShapes[] = {
+    {3, 64, 128, 64},
+    {1, 128, 64, 64},
+    {8, 128, 256, 64},
+    {9, 64, 192, 64},  // token-block edge: 4 + 4 + 1
+};
+
+// Saturation adversaries.  One token is +127 everywhere and one is -127
+// everywhere.  Row 0 dequantizes to w = 127 (UINT8 u = w + 128 = 255), row 1
+// to w = -128 (u = 0), row 2 alternates u = 255 and u = 15.  A u8*s8 pair sum
+// reaches 2*255*127 = 64770, past int16, so a maddubs dot saturates; the
+// exact INT32 sums (row 0: +-127*127*K) are what the reference computes.  At
+// K=66560 the biased sum(u*a) = 255*127*K passes INT32_MAX even though
+// sum(w*a) fits, so the 128*sum(a) correction must wrap, not overflow.
+constexpr std::size_t kAdversaryKs[] = {4096, 66560};
+
+QuantizedActivations AdversaryTokens(std::size_t k) {
+  QuantizedActivations x;
+  x.q = MatrixI8(2, k);
+  for (std::size_t kk = 0; kk < k; ++kk) {
+    x.q.At(0, kk) = 127;
+    x.q.At(1, kk) = -127;
+  }
+  x.token_scale = {0.5f, 0.25f};
+  return x;
+}
+
+std::uint32_t AdversaryRegister(std::size_t row) {
+  constexpr std::array<std::uint8_t, 8> kAllMax{15, 15, 15, 15,
+                                                15, 15, 15, 15};
+  constexpr std::array<std::uint8_t, 8> kAlternate{15, 0, 15, 0,
+                                                   15, 0, 15, 0};
+  if (row == 0) return PackNibblesInterleaved(kAllMax);
+  if (row == 1) return 0;
+  return PackNibblesInterleaved(kAlternate);
+}
+
+template <typename Weights>
+void FillAdversaryRegisters(Weights& w, std::size_t k) {
+  w.n = 3;
+  w.k = k;
+  w.group_size = 64;
+  w.packed.Resize(w.n * w.k / 8);
+  for (std::size_t row = 0; row < w.n; ++row) {
+    for (std::size_t r = 0; r < w.k / 8; ++r) {
+      w.packed[row * (w.k / 8) + r] = AdversaryRegister(row);
+    }
+  }
+  w.channel_scale = {1.0f, 0.5f, 2.0f};
+}
+
+LqqWeights AdversaryLqq(std::size_t k) {
+  LqqWeights w;
+  FillAdversaryRegisters(w, k);
+  // u = q*s + a: code 15 -> 16*15 + 15 = 255, code 0 with s=1, a=0 -> 0.
+  const LqqGroupParams by_row[3] = {{16, 15}, {1, 0}, {16, 15}};
+  for (std::size_t row = 0; row < w.n; ++row) {
+    w.group_params.insert(w.group_params.end(), w.GroupsPerRow(),
+                          by_row[row]);
+  }
+  return w;
+}
+
+QserveWeights AdversaryQserve(std::size_t k) {
+  QserveWeights w;
+  FillAdversaryRegisters(w, k);
+  // w = q*s - s*z: 15*16 - 113 = 127; 0*1 - 128 = -128.  Only `zero_scaled`
+  // enters the dequant, so `zero` is left at 0.
+  const QserveGroupParams by_row[3] = {{16, 0, 113}, {1, 0, 128},
+                                       {16, 0, 113}};
+  for (std::size_t row = 0; row < w.n; ++row) {
+    w.group_params.insert(w.group_params.end(), w.GroupsPerRow(),
+                          by_row[row]);
+  }
+  return w;
 }
 
 TEST(GemmProviderTest, NamesRoundTrip) {
@@ -131,14 +248,7 @@ TEST_P(ProviderParity, W8A8ExactOnRaggedShapes) {
 
 TEST_P(ProviderParity, W4A8LiquidExactOnRaggedShapes) {
   const GemmProvider provider = GetParam();
-  const struct { std::size_t m, n, k, group; } shapes[] = {
-      {1, 5, 40, 8},     // 5 registers: below the 8-register vector chunk
-      {3, 33, 72, 8},    // 9 registers per group boundary: vector + tail
-      {16, 7, 96, 16},   //
-      {4, 12, 128, 64},  // paper-default group, one vector chunk per group
-      {2, 3, 320, 64},   // several chunks per row
-  };
-  for (const auto& s : shapes) {
+  for (const W4A8Shape& s : kLqqShapes) {
     const Problem p = MakeProblem(s.m, s.n, s.k, 20 + s.k + s.group);
     const LqqWeights wq = QuantizeWeightsLqq(p.w, {s.group});
     const MatrixF ref = GemmW4A8Liquid(p.xq, wq, GemmProvider::kReference);
@@ -149,13 +259,7 @@ TEST_P(ProviderParity, W4A8LiquidExactOnRaggedShapes) {
 
 TEST_P(ProviderParity, W4A8QserveExactOnRaggedShapes) {
   const GemmProvider provider = GetParam();
-  const struct { std::size_t m, n, k, group; } shapes[] = {
-      {1, 5, 40, 8},
-      {3, 33, 72, 24},   // 3 registers per group: pure scalar-tail groups
-      {16, 7, 96, 16},
-      {4, 12, 256, 128},  // QServe-default group
-  };
-  for (const auto& s : shapes) {
+  for (const W4A8Shape& s : kQserveShapes) {
     const Problem p = MakeProblem(s.m, s.n, s.k, 30 + s.k + s.group);
     const QserveWeights wq = QuantizeWeightsQserve(p.w, {s.group});
     const MatrixF ref = GemmW4A8Qserve(p.xq, wq, GemmProvider::kReference);
@@ -166,12 +270,7 @@ TEST_P(ProviderParity, W4A8QserveExactOnRaggedShapes) {
 
 TEST_P(ProviderParity, W4A8DualMmaExactAndMatchesLinearPath) {
   const GemmProvider provider = GetParam();
-  const struct { std::size_t m, n, k; } shapes[] = {
-      {3, 64, 128},
-      {1, 128, 64},
-      {8, 128, 256},
-  };
-  for (const auto& s : shapes) {
+  for (const W4A8Shape& s : kDualMmaShapes) {
     const Problem p = MakeProblem(s.m, s.n, s.k, 40 + s.n + s.k);
     const LqqWeights wq = QuantizeWeightsLqq(p.w);
     const DualMmaPackedWeights packed = PackDualMma(wq);
@@ -183,6 +282,25 @@ TEST_P(ProviderParity, W4A8DualMmaExactAndMatchesLinearPath) {
     // the same GEMM as linear register order.
     const MatrixF linear = GemmW4A8Liquid(p.xq, wq, provider);
     ExpectBitIdentical(linear, got, provider, "W4A8DualMma-vs-linear");
+  }
+}
+
+TEST_P(ProviderParity, W4A8SaturationAdversaryExact) {
+  const GemmProvider provider = GetParam();
+  for (const std::size_t k : kAdversaryKs) {
+    const QuantizedActivations x = AdversaryTokens(k);
+    const LqqWeights lqq = AdversaryLqq(k);
+    const MatrixF ref = GemmW4A8Liquid(x, lqq, GemmProvider::kReference);
+    // The adversary reaches the sums it claims: row 0 is w = 127 throughout.
+    const std::int32_t row0 = 127 * 127 * static_cast<std::int32_t>(k);
+    EXPECT_EQ(ref.At(0, 0), static_cast<float>(row0) * 0.5f * 1.0f);
+    EXPECT_EQ(ref.At(1, 0), static_cast<float>(-row0) * 0.25f * 1.0f);
+    ExpectBitIdentical(ref, GemmW4A8Liquid(x, lqq, provider), provider,
+                       "W4A8Liquid-adversary");
+    const QserveWeights qserve = AdversaryQserve(k);
+    ExpectBitIdentical(GemmW4A8Qserve(x, qserve, GemmProvider::kReference),
+                       GemmW4A8Qserve(x, qserve, provider), provider,
+                       "W4A8Qserve-adversary");
   }
 }
 
@@ -232,6 +350,71 @@ INSTANTIATE_TEST_SUITE_P(
     // parameter is already called that, and -Wshadow flags the collision.
     [](const ::testing::TestParamInfo<GemmProvider>& param_info) {
       return std::string(GemmProviderName(param_info.param));
+    });
+
+// ---------------------------------------------------------------------------
+// Both builds of the AVX2 W4A8 row kernel, pinned through the detail seam.
+// ---------------------------------------------------------------------------
+
+class W4A8DotParity : public ::testing::TestWithParam<detail::W4A8Dot> {
+ protected:
+  void SetUp() override {
+    if (detail::W4A8DotAvailable(GetParam())) return;
+    if (GetParam() == detail::W4A8Dot::kVnni) {
+      GTEST_SKIP() << "CPU lacks avx512vnni/avx512vl (or the AVX2 provider is "
+                      "unavailable), so the vpdpbusd row kernel cannot run";
+    }
+    GTEST_SKIP() << "AVX2 provider unavailable on this machine/build";
+  }
+  const detail::GemmKernelTable& Kernels() const {
+    return detail::Avx2KernelsWith(GetParam());
+  }
+  std::string Who() const {
+    return std::string("dot=") + detail::W4A8DotName(GetParam());
+  }
+};
+
+TEST_P(W4A8DotParity, ExactOnRaggedShapes) {
+  for (const W4A8Shape& s : kLqqShapes) {
+    const Problem p = MakeProblem(s.m, s.n, s.k, 80 + s.k + s.group);
+    const LqqWeights wq = QuantizeWeightsLqq(p.w, {s.group});
+    ExpectBitIdentical(GemmW4A8Liquid(p.xq, wq, GemmProvider::kReference),
+                       Kernels().w4a8_lqq(p.xq, wq), Who(), "W4A8Liquid");
+  }
+  for (const W4A8Shape& s : kQserveShapes) {
+    const Problem p = MakeProblem(s.m, s.n, s.k, 90 + s.k + s.group);
+    const QserveWeights wq = QuantizeWeightsQserve(p.w, {s.group});
+    ExpectBitIdentical(GemmW4A8Qserve(p.xq, wq, GemmProvider::kReference),
+                       Kernels().w4a8_qserve(p.xq, wq), Who(), "W4A8Qserve");
+  }
+  for (const W4A8Shape& s : kDualMmaShapes) {
+    const Problem p = MakeProblem(s.m, s.n, s.k, 100 + s.n + s.k);
+    const DualMmaPackedWeights packed = PackDualMma(QuantizeWeightsLqq(p.w));
+    ExpectBitIdentical(
+        GemmW4A8LiquidDualMma(p.xq, packed, GemmProvider::kReference),
+        Kernels().w4a8_dual(p.xq, packed), Who(), "W4A8DualMma");
+  }
+}
+
+TEST_P(W4A8DotParity, SaturationAdversaryExact) {
+  for (const std::size_t k : kAdversaryKs) {
+    const QuantizedActivations x = AdversaryTokens(k);
+    const LqqWeights lqq = AdversaryLqq(k);
+    ExpectBitIdentical(GemmW4A8Liquid(x, lqq, GemmProvider::kReference),
+                       Kernels().w4a8_lqq(x, lqq), Who(),
+                       "W4A8Liquid-adversary");
+    const QserveWeights qserve = AdversaryQserve(k);
+    ExpectBitIdentical(GemmW4A8Qserve(x, qserve, GemmProvider::kReference),
+                       Kernels().w4a8_qserve(x, qserve), Who(),
+                       "W4A8Qserve-adversary");
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BothBuilds, W4A8DotParity,
+    ::testing::Values(detail::W4A8Dot::kWiden, detail::W4A8Dot::kVnni),
+    [](const ::testing::TestParamInfo<detail::W4A8Dot>& param_info) {
+      return std::string(detail::W4A8DotName(param_info.param));
     });
 
 }  // namespace
