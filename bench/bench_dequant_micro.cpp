@@ -6,10 +6,13 @@
 //     paper's "two instructions per four elements" claim; and
 //   * real CPU ns/element of each path, a second, hardware-independent
 //     witness that the LQQ sequence is fundamentally cheaper; and
-//   * BM_FusedW4A8DotM4/<build>/<projection>: the AVX2 provider's W4A8 row
-//     kernel at M=4 on one LLaMA-2-7B TP-4 decoder layer, once per build the
-//     CPU can run (vnni: vpdpbusd on the UINT8 dequant result; widen: int16
-//     madd).  This is the layer number behind the provider's CPUID choice.
+//   * BM_FusedW4A8DotM<4|256>/<build>/<projection>: the AVX2 provider's
+//     W4A8 kernels on one LLaMA-2-7B TP-4 decoder layer at decode (M=4) and
+//     prefill (M=256) batch, once per build the CPU can run (vnni: the
+//     register tile on vpdpbusd; widen: the int16-madd panel).  This is the
+//     layer number behind the provider's CPUID choice; and
+//   * BM_QuantizeActivationsM4/<projection>: the per-token activation
+//     quantizer every LiquidGemm call runs first, at M=4.
 
 #include <benchmark/benchmark.h>
 
@@ -123,11 +126,19 @@ void RegisterFusedDequantDotBenchmarks() {
   }
 }
 
-void RegisterFusedW4A8DotBenchmarks() {
-  constexpr std::size_t kM = 4;
-  static constexpr const char* kNames[] = {"qkv", "o", "gate_up", "down"};
+/// Gaussian token rows [m x k], seeded so every build times the same input.
+MatrixF RandomTokens(std::size_t m, std::size_t k) {
+  Rng rng(3);
+  MatrixF x(m, k);
+  for (auto& v : x.Flat()) v = static_cast<float>(rng.Normal(0, 1));
+  return x;
+}
+
+constexpr const char* kProjections[] = {"qkv", "o", "gate_up", "down"};
+
+void RegisterFusedW4A8DotBenchmarks(std::size_t m) {
   const auto calls =
-      serving::ShardModel(serving::LlmConfig::Llama2_7B(), 4).LayerGemms(kM);
+      serving::ShardModel(serving::LlmConfig::Llama2_7B(), 4).LayerGemms(m);
   for (const detail::W4A8Dot dot :
        {detail::W4A8Dot::kWiden, detail::W4A8Dot::kVnni}) {
     if (!detail::W4A8DotAvailable(dot)) continue;
@@ -135,14 +146,12 @@ void RegisterFusedW4A8DotBenchmarks() {
       const std::size_t n = calls[i].shape.n;
       const std::size_t k = calls[i].shape.k;
       benchmark::RegisterBenchmark(
-          (std::string("BM_FusedW4A8DotM4/") + detail::W4A8DotName(dot) +
-           "/" + kNames[i])
+          (std::string("BM_FusedW4A8DotM") + std::to_string(m) + "/" +
+           detail::W4A8DotName(dot) + "/" + kProjections[i])
               .c_str(),
-          [dot, n, k](benchmark::State& state) {
-            Rng rng(3);
-            MatrixF x(kM, k);
-            for (auto& v : x.Flat()) v = static_cast<float>(rng.Normal(0, 1));
-            const QuantizedActivations xq = QuantizeActivationsPerToken(x);
+          [dot, m, n, k](benchmark::State& state) {
+            const QuantizedActivations xq =
+                QuantizeActivationsPerToken(RandomTokens(m, k));
             const LqqWeights w = MakeLqq(n, k);
             const detail::GemmKernelTable& kernels =
                 detail::Avx2KernelsWith(dot);
@@ -150,14 +159,36 @@ void RegisterFusedW4A8DotBenchmarks() {
               MatrixF y = kernels.w4a8_lqq(xq, w);
               benchmark::DoNotOptimize(y.data());
             }
-            // Items are weight elements, each dequantized once and dotted
-            // against all kM tokens.
+            // Items are weight elements, each dotted against all m tokens.
             state.SetItemsProcessed(
                 static_cast<std::int64_t>(state.iterations()) *
                 static_cast<std::int64_t>(n * k));
           })
           ->Unit(benchmark::kMicrosecond);
     }
+  }
+}
+
+/// The host work LiquidGemm adds to every call at decode batch 4: per-token
+/// INT8 quantization of the [4 x K] activations of each projection.
+void RegisterQuantizeActivationsBenchmarks() {
+  constexpr std::size_t kM = 4;
+  const auto calls =
+      serving::ShardModel(serving::LlmConfig::Llama2_7B(), 4).LayerGemms(kM);
+  for (std::size_t i = 0; i < calls.size() && i < 4; ++i) {
+    const std::size_t k = calls[i].shape.k;
+    benchmark::RegisterBenchmark(
+        (std::string("BM_QuantizeActivationsM4/") + kProjections[i]).c_str(),
+        [k](benchmark::State& state) {
+          const MatrixF x = RandomTokens(kM, k);
+          for (auto _ : state) {
+            QuantizedActivations q = QuantizeActivationsPerToken(x);
+            benchmark::DoNotOptimize(q.q.data());
+          }
+          state.SetItemsProcessed(
+              static_cast<std::int64_t>(state.iterations()) *
+              static_cast<std::int64_t>(kM * k));
+        });
   }
 }
 
@@ -190,7 +221,9 @@ void PrintInstructionMix() {
 int main(int argc, char** argv) {
   PrintInstructionMix();
   RegisterFusedDequantDotBenchmarks();
-  RegisterFusedW4A8DotBenchmarks();
+  RegisterFusedW4A8DotBenchmarks(4);
+  RegisterFusedW4A8DotBenchmarks(256);  // prefill: recorded, not a workload
+  RegisterQuantizeActivationsBenchmarks();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

@@ -27,10 +27,11 @@ const GemmKernelTable& PortableKernels();
 // GemmProviderCompiled(GemmProvider::kAvx2) at dispatch time.
 const GemmKernelTable& Avx2Kernels();
 
-/// The two builds of the AVX2 provider's W4A8 row kernel.  kVnni feeds the
-/// UINT8 dequant result to vpdpbusd (AVX-512 VNNI + VL); kWiden widens both
-/// operands to int16 for madd (plain AVX2).  Avx2Kernels() picks one from
-/// CPUID on every W4A8 call; Avx2KernelsWith() pins one, so tests and
+/// The two builds of the AVX2 provider's W4A8 kernels.  kVnni is a register
+/// tile that feeds the UINT8 dequant result straight to vpdpbusd (AVX-512
+/// VNNI + BW + VL); kWiden dequantizes a panel into UINT8 rows and widens
+/// both operands to int16 for madd (plain AVX2).  Avx2Kernels() picks one
+/// from CPUID on every W4A8 call; Avx2KernelsWith() pins one, so tests and
 /// benchmarks can run each variant on any host that supports it.
 enum class W4A8Dot { kWiden, kVnni };
 
@@ -39,7 +40,7 @@ constexpr const char* W4A8DotName(W4A8Dot dot) {
 }
 
 /// True when the AVX2 provider is available and, for kVnni, CPUID also
-/// reports avx512vnni and avx512vl.
+/// reports avx512vnni, avx512bw and avx512vl.
 bool W4A8DotAvailable(W4A8Dot dot);
 
 /// The variant Avx2Kernels() runs on this CPU.

@@ -3,14 +3,50 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
+#include <string>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 namespace liquid {
 namespace {
 
-float MaxAbs(std::span<const float> values) {
-  float m = 0.0f;
-  for (const float v : values) m = std::max(m, std::fabs(v));
-  return m;
+/// Largest |v| of a row, and whether the row holds a NaN, which a max
+/// reduction drops silently.
+struct AbsMax {
+  float value = 0.0f;
+  bool nan = false;
+};
+
+AbsMax RowAbsMax(std::span<const float> values) {
+  AbsMax out;
+  std::size_t i = 0;
+#if defined(__SSE2__)
+  // Four independent max chains; cmpunord(x, x) flags NaN lanes.
+  const __m128 abs_mask = _mm_castsi128_ps(_mm_set1_epi32(0x7FFFFFFF));
+  __m128 m[4] = {_mm_setzero_ps(), _mm_setzero_ps(), _mm_setzero_ps(),
+                 _mm_setzero_ps()};
+  __m128 unordered = _mm_setzero_ps();
+  for (; i + 16 <= values.size(); i += 16) {
+    for (int j = 0; j < 4; ++j) {
+      const __m128 x = _mm_loadu_ps(values.data() + i + 4 * j);
+      unordered = _mm_or_ps(unordered, _mm_cmpunord_ps(x, x));
+      m[j] = _mm_max_ps(m[j], _mm_and_ps(x, abs_mask));
+    }
+  }
+  __m128 r = _mm_max_ps(_mm_max_ps(m[0], m[1]), _mm_max_ps(m[2], m[3]));
+  r = _mm_max_ps(r, _mm_movehl_ps(r, r));
+  r = _mm_max_ss(r, _mm_shuffle_ps(r, r, 0x55));
+  out.value = _mm_cvtss_f32(r);
+  out.nan = _mm_movemask_ps(unordered) != 0;
+#endif
+  for (; i < values.size(); ++i) {
+    out.nan = out.nan || std::isnan(values[i]);
+    out.value = std::max(out.value, std::fabs(values[i]));
+  }
+  return out;
 }
 
 std::int8_t ClampRound(float value, int bound) {
@@ -18,6 +54,32 @@ std::int8_t ClampRound(float value, int bound) {
   const float clamped =
       std::clamp(r, static_cast<float>(-bound), static_cast<float>(bound));
   return static_cast<std::int8_t>(clamped);
+}
+
+/// dst[k] = ClampRound(src[k] / scale, 127) for finite src.  The vector body
+/// clamps first and then rounds half to even with (v + 1.5*2^23) - 1.5*2^23;
+/// for |v| <= 127 that is exactly nearbyint, and clamping before rounding
+/// gives the same integer as clamping after for every non-NaN v.
+void QuantizeRowI8(std::span<const float> src, float scale, std::int8_t* dst) {
+  std::size_t i = 0;
+#if defined(__SSE2__)
+  const __m128 vscale = _mm_set1_ps(scale);
+  const __m128 lo = _mm_set1_ps(-127.0f);
+  const __m128 hi = _mm_set1_ps(127.0f);
+  const __m128 magic = _mm_set1_ps(12582912.0f);  // 1.5 * 2^23
+  for (; i + 16 <= src.size(); i += 16) {
+    __m128i q[4];
+    for (int j = 0; j < 4; ++j) {
+      __m128 v = _mm_div_ps(_mm_loadu_ps(src.data() + i + 4 * j), vscale);
+      v = _mm_min_ps(_mm_max_ps(v, lo), hi);
+      q[j] = _mm_cvttps_epi32(_mm_sub_ps(_mm_add_ps(v, magic), magic));
+    }
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i),
+                     _mm_packs_epi16(_mm_packs_epi32(q[0], q[1]),
+                                     _mm_packs_epi32(q[2], q[3])));
+  }
+#endif
+  for (; i < src.size(); ++i) dst[i] = ClampRound(src[i] / scale, 127);
 }
 
 }  // namespace
@@ -29,7 +91,7 @@ FirstLevelResult QuantizeFirstLevel(const MatrixF& weights,
   out.q = MatrixI8(weights.rows(), weights.cols());
   out.channel_scale.resize(weights.rows());
   for (std::size_t n = 0; n < weights.rows(); ++n) {
-    const float absmax = MaxAbs(weights.Row(n));
+    const float absmax = RowAbsMax(weights.Row(n)).value;
     // A zero row quantizes to zeros with unit scale (avoids 0/0).
     const float scale =
         absmax > 0.0f ? absmax / static_cast<float>(bound) : 1.0f;
@@ -122,14 +184,22 @@ QuantizedActivations QuantizeActivationsPerToken(const MatrixF& activations) {
   out.q = MatrixI8(activations.rows(), activations.cols());
   out.token_scale.resize(activations.rows());
   for (std::size_t m = 0; m < activations.rows(); ++m) {
-    const float absmax = MaxAbs(activations.Row(m));
-    const float scale = absmax > 0.0f ? absmax / 127.0f : 1.0f;
-    out.token_scale[m] = scale;
     const auto src = activations.Row(m);
-    const auto dst = out.q.Row(m);
-    for (std::size_t k = 0; k < src.size(); ++k) {
-      dst[k] = ClampRound(src[k] / scale, 127);
+    const AbsMax absmax = RowAbsMax(src);
+    if (absmax.nan || !std::isfinite(absmax.value)) {
+      throw std::invalid_argument(
+          "QuantizeActivationsPerToken: token row " + std::to_string(m) +
+          " holds a NaN or infinite activation");
     }
+    // A zero row gets unit scale (avoids 0/0).  Below absmax ~ 1.8e-43 the
+    // quotient underflows to 0; the floor keeps the division finite.
+    const float scale =
+        absmax.value > 0.0f
+            ? std::max(absmax.value / 127.0f,
+                       std::numeric_limits<float>::denorm_min())
+            : 1.0f;
+    out.token_scale[m] = scale;
+    QuantizeRowI8(src, scale, out.q.Row(m).data());
   }
   return out;
 }

@@ -53,7 +53,10 @@ double SearchSmoothAlpha(const MatrixF& act_sample, const MatrixF& weights,
                          int group_size, std::span<const double> candidates);
 
 /// Per-token symmetric INT8 activation quantization (Section 6, fused
-/// on-the-fly in serving; here a standalone reference).
+/// on-the-fly in serving; here a standalone reference): scale = absmax / 127,
+/// q = clamp(nearbyint(x / scale), -127, 127), rounding half to even.
+/// Throws std::invalid_argument naming the row if a token holds a NaN or an
+/// infinity, which has no finite scale.
 QuantizedActivations QuantizeActivationsPerToken(const MatrixF& activations);
 
 /// Dequantizes per-token activations back to float.

@@ -1,7 +1,7 @@
 // Provider-parity suite: every available GEMM provider x every kernel on
 // ragged M/N/K shapes, including K not a multiple of the 32-byte SIMD width
 // (exercises the vector tails) and group sizes that leave ragged register
-// groups (exercises the scalar tail of the fused LUT dequant).
+// groups (exercises the tails of the fused LUT dequant).
 //
 // Integer kernels (W8A8, W4A8 LQQ/QServe/DualMma) must match the reference
 // provider bit-for-bit: INT32 accumulation is associative and the float
@@ -9,10 +9,10 @@
 // fp16, W4A16) differ only by accumulation order, so they are held to a tight
 // relative-Frobenius tolerance.
 //
-// The AVX2 provider's W4A8 row kernel has two builds (vpdpbusd and an
-// int16-widening dot) chosen from CPUID; W4A8DotParity runs each one through
-// the detail::Avx2KernelsWith seam, so both are checked on a host that can
-// run them regardless of which one the provider picks.
+// The AVX2 provider's W4A8 kernels have two builds (a vpdpbusd register
+// tile and an int16-widening panel) chosen from CPUID; W4A8DotParity runs
+// each one through the detail::Avx2KernelsWith seam, so both are checked on
+// a host that can run them regardless of which one the provider picks.
 
 #include "core/gemm/gemm.hpp"
 
@@ -75,7 +75,11 @@ void ExpectBitIdentical(const MatrixF& ref, const MatrixF& got,
 
 // W4A8 parity shapes, shared by the provider and dot-variant sweeps.  M=5
 // and M=9 leave one token past a 4-token block; small groups leave ragged
-// register groups (scalar tail of the fused LUT dequant).
+// register groups (the widen build's scalar tail, the vnni build's masked
+// 256-bit chunks).  The "tile" rows aim at the vnni build's register tile:
+// its 512-bit steps cover 128 codes as two 64-code halves, each with its own
+// group's LUT; an odd group count ends the row with one 256-bit step; an N
+// that is not a multiple of the tile's 4 rows leaves a row-block remainder.
 struct W4A8Shape {
   std::size_t m, n, k, group;
 };
@@ -88,6 +92,12 @@ constexpr W4A8Shape kLqqShapes[] = {
     {2, 3, 320, 64},   // several chunks per row
     {5, 17, 256, 64},  // token-block edge: 4 + 1
     {9, 10, 192, 64},  // token-block edge: 4 + 4 + 1
+    {4, 7, 64, 64},    // tile: a single group (one 256-bit step), N = 4 + 3
+    {4, 16, 2752, 64},  // tile: LLaMA-2-7B TP-4 down, 43 groups (odd)
+    {1, 9, 576, 64},   // tile: 9 groups, N = 4 + 4 + 1
+    {3, 5, 512, 128},  // tile: one group per 512-bit step
+    {5, 6, 384, 192},  // tile: 1.5 groups per step, halves straddle groups
+    {2, 13, 576, 192},  // tile: 9 halves, the 256-bit step starts mid-group
 };
 
 constexpr W4A8Shape kQserveShapes[] = {
@@ -97,6 +107,11 @@ constexpr W4A8Shape kQserveShapes[] = {
     {4, 12, 256, 128},  // QServe-default group
     {5, 9, 256, 128},   // token-block edge: 4 + 1
     {9, 6, 384, 128},   // token-block edge: 4 + 4 + 1
+    {4, 7, 64, 64},     // tile: a single group, N = 4 + 3
+    {4, 16, 2752, 64},  // tile: 43 groups (odd)
+    {3, 5, 512, 128},   // tile: one group per 512-bit step
+    {5, 6, 384, 192},   // tile: 1.5 groups per step
+    {2, 13, 576, 192},  // tile: the 256-bit step starts mid-group
 };
 
 constexpr W4A8Shape kDualMmaShapes[] = {
@@ -104,6 +119,7 @@ constexpr W4A8Shape kDualMmaShapes[] = {
     {1, 128, 64, 64},
     {8, 128, 256, 64},
     {9, 64, 192, 64},  // token-block edge: 4 + 4 + 1
+    {4, 64, 2752, 64},  // tile: 43 groups (odd)
 };
 
 // Saturation adversaries.  One token is +127 everywhere and one is -127
@@ -112,8 +128,10 @@ constexpr W4A8Shape kDualMmaShapes[] = {
 // reaches 2*255*127 = 64770, past int16, so a maddubs dot saturates; the
 // exact INT32 sums (row 0: +-127*127*K) are what the reference computes.  At
 // K=66560 the biased sum(u*a) = 255*127*K passes INT32_MAX even though
-// sum(w*a) fits, so the 128*sum(a) correction must wrap, not overflow.
-constexpr std::size_t kAdversaryKs[] = {4096, 66560};
+// sum(w*a) fits, so the 128*sum(a) correction must wrap, not overflow.  Both
+// have an even group count, so the vnni tile runs them in 512-bit steps;
+// K=66624 adds a group and ends each row with a 256-bit step.
+constexpr std::size_t kAdversaryKs[] = {4096, 66560, 66624};
 
 QuantizedActivations AdversaryTokens(std::size_t k) {
   QuantizedActivations x;
@@ -353,7 +371,7 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
-// Both builds of the AVX2 W4A8 row kernel, pinned through the detail seam.
+// Both builds of the AVX2 W4A8 kernels, pinned through the detail seam.
 // ---------------------------------------------------------------------------
 
 class W4A8DotParity : public ::testing::TestWithParam<detail::W4A8Dot> {
@@ -361,8 +379,9 @@ class W4A8DotParity : public ::testing::TestWithParam<detail::W4A8Dot> {
   void SetUp() override {
     if (detail::W4A8DotAvailable(GetParam())) return;
     if (GetParam() == detail::W4A8Dot::kVnni) {
-      GTEST_SKIP() << "CPU lacks avx512vnni/avx512vl (or the AVX2 provider is "
-                      "unavailable), so the vpdpbusd row kernel cannot run";
+      GTEST_SKIP() << "CPU lacks avx512vnni/avx512vl/avx512bw (or the AVX2 "
+                      "provider is unavailable), so the vpdpbusd register "
+                      "tile cannot run";
     }
     GTEST_SKIP() << "AVX2 provider unavailable on this machine/build";
   }

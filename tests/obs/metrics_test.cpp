@@ -127,7 +127,11 @@ TEST(MetricsRegistryTest, HistogramReferencesStayStableAcrossGrowth) {
   Histogram& first = reg.RegisterHistogram("first", {1.0});
   first.Add(0.5);
   for (int i = 0; i < 32; ++i) {
-    reg.RegisterHistogram("h" + std::to_string(i), {1.0});
+    // Appended rather than "h" + to_string(i): gcc 12 flags that operator+
+    // temporary with a false-positive -Wrestrict in Release builds.
+    std::string name = "h";
+    name += std::to_string(i);
+    reg.RegisterHistogram(name, {1.0});
   }
   first.Add(0.5);  // would crash/corrupt if the reference moved
   EXPECT_EQ(first.count(), 2u);
