@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <limits>
+#include <stdexcept>
 
 #include "util/json.hpp"
 
@@ -133,6 +135,9 @@ void TraceRecorder::InstantWithArgs(TraceEventType type, double t,
                                     std::int32_t pid, std::int32_t tid,
                                     std::uint64_t id, double a0, double a1,
                                     double a2, std::span<const TraceArg> ext) {
+  if (ext.size() > std::numeric_limits<std::uint16_t>::max()) {
+    throw std::length_error("TraceRecorder: event tail longer than 65535 args");
+  }
   TraceEvent e;
   e.type = type;
   e.phase = TracePhase::kInstant;
@@ -144,7 +149,7 @@ void TraceRecorder::InstantWithArgs(TraceEventType type, double t,
   e.a1 = a1;
   e.a2 = a2;
   e.ext_off = static_cast<std::uint32_t>(ext_pool_.size());
-  e.ext_len = static_cast<std::uint32_t>(ext.size());
+  e.ext_len = static_cast<std::uint16_t>(ext.size());
   ext_pool_.insert(ext_pool_.end(), ext.begin(), ext.end());
   events_.push_back(e);
 }

@@ -9,15 +9,6 @@ namespace {
 /// Baseline non-GEMM per-layer cost: layer norms, RoPE, residual adds,
 /// activation quantization, KV write, routing.  Mostly bandwidth-bound over
 /// activation tensors plus a fixed kernel-launch floor.
-/// Packs two step-cost arguments into one memo key.  Lengths and batches are
-/// at most tens of thousands in practice; anything that would not round-trip
-/// through 32 bits bypasses the cache rather than risk a key collision.
-constexpr std::uint64_t kMemoMax = (std::uint64_t{1} << 32) - 1;
-
-std::uint64_t MemoKey(std::size_t a, std::size_t b) {
-  return (static_cast<std::uint64_t>(a) << 32) | static_cast<std::uint64_t>(b);
-}
-
 double BaseOthersPerLayer(const simgpu::HardwareSpec& hw,
                           const LlmConfig& model, std::size_t batch) {
   const double act_bytes = static_cast<double>(batch) *
@@ -42,17 +33,29 @@ double ServingEngine::OthersPerLayer(std::size_t batch) const {
   return BaseOthersPerLayer(hw_, model_, batch) * preset_.other_overhead;
 }
 
-LayerBreakdown ServingEngine::DecodeLayerBreakdown(std::size_t batch,
-                                                   std::size_t kv_len) const {
-  LayerBreakdown out;
-  out.gemm = simgpu::SimulateGemmSequence(hw_, kernel_,
-                                          model_.LayerGemms(batch));
+AttentionCostConfig ServingEngine::AttentionConfig() const {
   AttentionCostConfig attn;
   attn.kv_bits = preset_.kv_bits;
   attn.efficiency = preset_.attention_efficiency;
   attn.fp8_math = preset_.fp8_attention;
+  return attn;
+}
+
+double ServingEngine::LayerGemmSeconds(std::size_t tokens) const {
+  const auto [it, fresh] = gemm_memo_.try_emplace(tokens);
+  if (fresh) {
+    it->second.layer = simgpu::SimulateGemmSequence(hw_, kernel_,
+                                                    model_.LayerGemms(tokens));
+  }
+  return it->second.layer;
+}
+
+LayerBreakdown ServingEngine::DecodeLayerBreakdown(std::size_t batch,
+                                                   std::size_t kv_len) const {
+  LayerBreakdown out;
+  out.gemm = LayerGemmSeconds(batch);
   out.attention =
-      DecodeAttentionSeconds(hw_, model_, attn, batch, kv_len) /
+      DecodeAttentionSeconds(hw_, model_, AttentionConfig(), batch, kv_len) /
       static_cast<double>(model_.num_layers);
   out.others = OthersPerLayer(batch);
   return out;
@@ -60,39 +63,27 @@ LayerBreakdown ServingEngine::DecodeLayerBreakdown(std::size_t batch,
 
 double ServingEngine::DecodeStepSeconds(std::size_t batch,
                                         std::size_t kv_len) const {
-  const bool cacheable = batch <= kMemoMax && kv_len <= kMemoMax;
-  if (cacheable) {
-    const auto it = decode_step_cache_.find(MemoKey(batch, kv_len));
-    if (it != decode_step_cache_.end()) return it->second;
-  }
   const LayerBreakdown layer = DecodeLayerBreakdown(batch, kv_len);
   // The LM head GEMM runs once per step (not per layer).
-  simgpu::GemmCall lm_head{
-      GemmShape{batch, static_cast<std::size_t>(model_.vocab),
-                static_cast<std::size_t>(model_.hidden)},
-      1};
-  const double t_lm =
-      simgpu::SimulateGemmSequence(hw_, kernel_, {lm_head});
-  const double seconds = layer.total() * model_.num_layers + t_lm;
-  if (cacheable) decode_step_cache_.emplace(MemoKey(batch, kv_len), seconds);
-  return seconds;
+  std::optional<double>& t_lm = gemm_memo_.at(batch).lm_head;
+  if (!t_lm) {
+    simgpu::GemmCall lm_head{
+        GemmShape{batch, static_cast<std::size_t>(model_.vocab),
+                  static_cast<std::size_t>(model_.hidden)},
+        1};
+    t_lm = simgpu::SimulateGemmSequence(hw_, kernel_, {lm_head});
+  }
+  return layer.total() * model_.num_layers + *t_lm;
 }
 
 double ServingEngine::PrefillSeconds(std::size_t batch,
                                      std::size_t input_len) const {
-  AttentionCostConfig attn;
-  attn.kv_bits = preset_.kv_bits;
-  attn.efficiency = preset_.attention_efficiency;
-  attn.fp8_math = preset_.fp8_attention;
-
   const std::size_t chunk = options_.prefill_chunk_tokens;
   if (chunk == 0 || input_len <= chunk) {
     const std::size_t tokens = batch * input_len;
-    const double gemm =
-        simgpu::SimulateGemmSequence(hw_, kernel_, model_.LayerGemms(tokens)) *
-        model_.num_layers;
-    const double attention =
-        PrefillAttentionSeconds(hw_, model_, attn, batch, input_len);
+    const double gemm = LayerGemmSeconds(tokens) * model_.num_layers;
+    const double attention = PrefillAttentionSeconds(
+        hw_, model_, AttentionConfig(), batch, input_len);
     const double others =
         OthersPerLayer(tokens) * static_cast<double>(model_.num_layers);
     return gemm + attention + others;
@@ -113,14 +104,9 @@ double ServingEngine::PrefillSeconds(std::size_t batch,
 
 double ServingEngine::ChunkCost(std::size_t batch, std::size_t chunk_tokens,
                                 std::size_t prior_tokens) const {
-  AttentionCostConfig attn;
-  attn.kv_bits = preset_.kv_bits;
-  attn.efficiency = preset_.attention_efficiency;
-  attn.fp8_math = preset_.fp8_attention;
+  const AttentionCostConfig attn = AttentionConfig();
   const std::size_t tokens = batch * chunk_tokens;
-  double total = simgpu::SimulateGemmSequence(hw_, kernel_,
-                                              model_.LayerGemms(tokens)) *
-                 model_.num_layers;
+  double total = LayerGemmSeconds(tokens) * model_.num_layers;
   total += PrefillAttentionSeconds(hw_, model_, attn, batch, chunk_tokens);
   if (prior_tokens > 0) {
     // The chunk's tokens attend to all previously cached tokens: a
@@ -134,17 +120,7 @@ double ServingEngine::ChunkCost(std::size_t batch, std::size_t chunk_tokens,
 
 double ServingEngine::PrefillChunkSeconds(std::size_t chunk_tokens,
                                           std::size_t prior_tokens) const {
-  const bool cacheable = chunk_tokens <= kMemoMax && prior_tokens <= kMemoMax;
-  if (cacheable) {
-    const auto it =
-        prefill_chunk_cache_.find(MemoKey(chunk_tokens, prior_tokens));
-    if (it != prefill_chunk_cache_.end()) return it->second;
-  }
-  const double seconds = ChunkCost(1, chunk_tokens, prior_tokens);
-  if (cacheable) {
-    prefill_chunk_cache_.emplace(MemoKey(chunk_tokens, prior_tokens), seconds);
-  }
-  return seconds;
+  return ChunkCost(1, chunk_tokens, prior_tokens);
 }
 
 double ServingEngine::WeightMemoryBytes() const {

@@ -11,7 +11,7 @@
 // weights + FP16 embeddings + paged KV cache + framework overhead; the KV
 // pool is validated against a real KvBlockManager allocation.
 
-#include <cstdint>
+#include <cstddef>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -117,6 +117,9 @@ class ServingEngine {
 
  private:
   [[nodiscard]] double OthersPerLayer(std::size_t batch) const;
+  [[nodiscard]] AttentionCostConfig AttentionConfig() const;
+  /// One layer's GEMM chain (simgpu) at `tokens` rows, from the memo.
+  [[nodiscard]] double LayerGemmSeconds(std::size_t tokens) const;
   [[nodiscard]] double ChunkCost(std::size_t batch, std::size_t chunk_tokens,
                                  std::size_t prior_tokens) const;
 
@@ -126,17 +129,21 @@ class ServingEngine {
   EngineOptions options_;
   simgpu::KernelConfig kernel_;
 
-  /// DecodeStepSeconds and PrefillChunkSeconds are pure in their integer
-  /// arguments for a fixed engine config, and the continuous-batching
-  /// scheduler re-asks the same (batch, kv_len) pairs millions of times per
-  /// simulated hour — rebuilding the per-layer roofline walk each time was
-  /// the simulator's dominant host cost.  A hit returns the identical double,
-  /// so memoization cannot perturb simulated results.  Engines are used
-  /// single-threaded; the caches are not locked.
+  /// Every price is closed-form attention and "others" flops plus simgpu GEMM
+  /// time, and only the GEMM time is expensive to evaluate (a block-pipeline
+  /// simulation per GEMM).  It depends on nothing but the row count, so one
+  /// memo keyed by token count serves decode steps, whole and chunked
+  /// prefills alike: the per-layer chain at that many rows, plus the LM head
+  /// at that batch once a decode step has asked for it.  The scheduler sees
+  /// at most a few thousand distinct counts per run.  Engines are used
+  /// single-threaded; the memo is not locked.
   /// Determinism audit: pure memoization, keyed lookup/insert only — never
   /// iterated, and a hit returns the identical double a miss would compute.
-  mutable std::unordered_map<std::uint64_t, double> decode_step_cache_;
-  mutable std::unordered_map<std::uint64_t, double> prefill_chunk_cache_;
+  struct GemmMemo {
+    double layer = 0;
+    std::optional<double> lm_head;
+  };
+  mutable std::unordered_map<std::size_t, GemmMemo> gemm_memo_;
 };
 
 }  // namespace liquid::serving

@@ -1,17 +1,32 @@
 #include "simgpu/block_pipeline.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
+#include <vector>
 
 namespace liquid::simgpu {
 namespace {
 
-/// Ready time imposed by the bounded SMEM stage buffer: load `i` may not
-/// start until the buffer used by iteration `i - depth` has been consumed.
-double SlotReady(const std::vector<double>& consumed, int i, int depth) {
-  if (i < depth) return 0.0;
-  return consumed[static_cast<std::size_t>(i - depth)];
-}
+/// Zeroed per-call scratch of `n` doubles.  Stack storage covers every
+/// shipped kernel config (stage depth and compute WGs are single digits), so
+/// the common call never allocates.
+class Scratch {
+ public:
+  explicit Scratch(int n) : n_(static_cast<std::size_t>(std::max(0, n))) {
+    if (n_ > kInline) heap_.assign(n_, 0.0);
+  }
+
+  double* begin() { return n_ > kInline ? heap_.data() : inline_.data(); }
+  double* end() { return begin() + n_; }
+  double& operator[](std::size_t i) { return begin()[i]; }
+
+ private:
+  static constexpr std::size_t kInline = 8;
+  std::size_t n_;
+  std::array<double, kInline> inline_{};
+  std::vector<double> heap_;
+};
 
 }  // namespace
 
@@ -25,18 +40,27 @@ BlockPipelineResult SimulateBlockPipeline(const BlockPipelineInput& in) {
   Track tc("tc", rec);
 
   const int k = in.k_iters;
-  std::vector<double> load_done(static_cast<std::size_t>(k), 0.0);
-  std::vector<double> slot_freed(static_cast<std::size_t>(k), 0.0);
+  // The bounded SMEM stage buffer as a ring of release times: load `i` may
+  // not start until the buffer used by iteration `i - depth` is consumed.
+  const int depth = in.stage_depth;
+  Scratch freed(depth);
+  const auto slot = [&](int i) -> double& {
+    return freed[static_cast<std::size_t>(i % depth)];
+  };
+  const auto slot_ready = [&](int i) {
+    return depth <= 0 || i < depth ? 0.0 : slot(i);
+  };
+  const auto release_slot = [&](int i, double t) {
+    if (depth > 0) slot(i) = t;
+  };
   double finish = 0.0;
 
   switch (in.pipeline) {
     case PipelineKind::kSymmetric: {
       for (int i = 0; i < k; ++i) {
-        const Interval ld =
-            tma.Claim(SlotReady(slot_freed, i, in.stage_depth), in.t_load);
-        load_done[static_cast<std::size_t>(i)] = ld.end;
+        const Interval ld = tma.Claim(slot_ready(i), in.t_load);
         const Interval mma = tc.Claim(ld.end, in.t_mma);
-        slot_freed[static_cast<std::size_t>(i)] = mma.end;
+        release_slot(i, mma.end);
         finish = std::max(finish, mma.end);
       }
       break;
@@ -45,13 +69,11 @@ BlockPipelineResult SimulateBlockPipeline(const BlockPipelineInput& in) {
       // One compute role: dequant and MMA issue from the same warps, so the
       // two occupy the warps back to back; loads still double-buffer ahead.
       for (int i = 0; i < k; ++i) {
-        const Interval ld =
-            tma.Claim(SlotReady(slot_freed, i, in.stage_depth), in.t_load);
-        load_done[static_cast<std::size_t>(i)] = ld.end;
+        const Interval ld = tma.Claim(slot_ready(i), in.t_load);
         const Interval dq = cuda.Claim(std::max(ld.end, tc.free_at()),
                                        in.t_dequant);
         const Interval mma = tc.Claim(dq.end, in.t_mma);
-        slot_freed[static_cast<std::size_t>(i)] = dq.end;
+        release_slot(i, dq.end);
         finish = std::max(finish, mma.end);
       }
       break;
@@ -60,12 +82,10 @@ BlockPipelineResult SimulateBlockPipeline(const BlockPipelineInput& in) {
       // Dedicated Dequant WG: pays the RF->SMEM->RF round trip for the INT8
       // tile plus a software barrier before the MMA WG may consume it.
       for (int i = 0; i < k; ++i) {
-        const Interval ld =
-            tma.Claim(SlotReady(slot_freed, i, in.stage_depth), in.t_load);
-        load_done[static_cast<std::size_t>(i)] = ld.end;
+        const Interval ld = tma.Claim(slot_ready(i), in.t_load);
         const Interval dq =
             cuda.Claim(ld.end, in.t_dequant + in.t_smem_roundtrip);
-        slot_freed[static_cast<std::size_t>(i)] = dq.end;
+        release_slot(i, dq.end);
         const Interval mma = tc.Claim(dq.end + in.t_sync, in.t_mma);
         finish = std::max(finish, mma.end);
       }
@@ -79,28 +99,22 @@ BlockPipelineResult SimulateBlockPipeline(const BlockPipelineInput& in) {
       const int f = std::max(1, in.fine_tasks);
       const double t_dq_task = in.t_dequant / f;
       const double t_mma_task = in.t_mma / f;
-      std::vector<Track> workers;
-      workers.reserve(static_cast<std::size_t>(std::max(1, in.compute_wgs)));
-      for (int wgi = 0; wgi < std::max(1, in.compute_wgs); ++wgi) {
-        workers.emplace_back("wg" + std::to_string(wgi));
-      }
+      // Only each worker's free time matters; the CUDA pipe carries the log.
+      Scratch worker_free(std::max(1, in.compute_wgs));
       for (int i = 0; i < k; ++i) {
-        const Interval ld =
-            tma.Claim(SlotReady(slot_freed, i, in.stage_depth), in.t_load);
-        load_done[static_cast<std::size_t>(i)] = ld.end;
+        const Interval ld = tma.Claim(slot_ready(i), in.t_load);
         double last_dq = 0.0;
         for (int t = 0; t < f; ++t) {
           // Hardware-arbitrated task fetch: the first free worker takes it.
-          Track* worker = &workers[0];
-          for (auto& w : workers) {
-            if (w.free_at() < worker->free_at()) worker = &w;
-          }
-          const Interval dq = ClaimAll(ld.end, t_dq_task, *worker, cuda);
+          double& worker =
+              *std::min_element(worker_free.begin(), worker_free.end());
+          const Interval dq = cuda.Claim(std::max(ld.end, worker), t_dq_task);
+          worker = dq.end;
           const Interval mma = tc.Claim(dq.end, t_mma_task);
           last_dq = std::max(last_dq, dq.end);
           finish = std::max(finish, mma.end);
         }
-        slot_freed[static_cast<std::size_t>(i)] = last_dq;
+        release_slot(i, last_dq);
       }
       break;
     }

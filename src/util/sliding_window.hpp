@@ -35,6 +35,10 @@ class SlidingWindowStats {
           [](const Sample& a, const Sample& b) { return a.t < b.t; });
       samples_.insert(at, s);
     }
+    if (sorted_live_) {
+      sorted_.insert(std::upper_bound(sorted_.begin(), sorted_.end(), value),
+                     value);
+    }
     Evict(samples_.back().t);
   }
 
@@ -45,14 +49,18 @@ class SlidingWindowStats {
   }
 
   /// Linear-interpolated percentile (`p` in [0, 100]) over the live window;
-  /// 0 when the window is empty.
+  /// 0 when the window is empty.  The first call starts keeping the live
+  /// values sorted, so every later call is O(1) and each Add or eviction pays
+  /// one ordered insert or erase instead; a window nobody queries pays
+  /// nothing.  Values must be ordered by `<` (no NaN), as for any sort.
   [[nodiscard]] double Percentile(double now, double p) {
     Evict(now);
-    if (samples_.empty()) return 0.0;
-    std::vector<double> values;
-    values.reserve(samples_.size());
-    for (const Sample& s : samples_) values.push_back(s.value);
-    return liquid::Percentile(values, p);
+    if (!sorted_live_) {
+      for (const Sample& s : samples_) sorted_.push_back(s.value);
+      std::sort(sorted_.begin(), sorted_.end());
+      sorted_live_ = true;
+    }
+    return PercentileOfSorted(sorted_, p);
   }
 
   [[nodiscard]] double Mean(double now) {
@@ -74,12 +82,19 @@ class SlidingWindowStats {
   void Evict(double now) {
     const double horizon = now - window_;
     while (!samples_.empty() && samples_.front().t < horizon) {
+      if (sorted_live_) {
+        sorted_.erase(std::lower_bound(sorted_.begin(), sorted_.end(),
+                                       samples_.front().value));
+      }
       samples_.pop_front();
     }
   }
 
   double window_;
   std::deque<Sample> samples_;
+  /// The live values in ascending order, kept once Percentile is first asked.
+  bool sorted_live_ = false;
+  std::vector<double> sorted_;
 };
 
 }  // namespace liquid

@@ -31,6 +31,20 @@ Summary SummarizeImpl(std::span<const T> values) {
   return s;
 }
 
+/// Where percentile `p` falls among `n` ordered values: between ranks `lo`
+/// and `lo + 1`, `frac` of the way up.
+struct Rank {
+  std::size_t lo;
+  double frac;
+};
+
+Rank RankOf(std::size_t n, double p) {
+  p = std::clamp(p, 0.0, 100.0);
+  const double rank = (p / 100.0) * static_cast<double>(n - 1);
+  const std::size_t lo = static_cast<std::size_t>(rank);
+  return {lo, rank - static_cast<double>(lo)};
+}
+
 }  // namespace
 
 Summary Summarize(std::span<const double> values) {
@@ -40,15 +54,22 @@ Summary Summarize(std::span<const float> values) { return SummarizeImpl(values);
 
 double Percentile(std::span<const double> values, double p) {
   if (values.empty()) return 0.0;
-  p = std::clamp(p, 0.0, 100.0);
-  std::vector<double> sorted(values.begin(), values.end());
-  std::sort(sorted.begin(), sorted.end());
-  const double rank =
-      (p / 100.0) * static_cast<double>(sorted.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+  const Rank r = RankOf(values.size(), p);
+  // Only the order statistics at `lo` and `lo + 1` are needed: select `lo`,
+  // then the next one is the minimum of the partition above it.
+  std::vector<double> v(values.begin(), values.end());
+  const auto at_lo = v.begin() + static_cast<std::ptrdiff_t>(r.lo);
+  std::nth_element(v.begin(), at_lo, v.end());
+  const double next =
+      at_lo + 1 == v.end() ? *at_lo : *std::min_element(at_lo + 1, v.end());
+  return *at_lo * (1.0 - r.frac) + next * r.frac;
+}
+
+double PercentileOfSorted(std::span<const double> sorted, double p) {
+  if (sorted.empty()) return 0.0;
+  const Rank r = RankOf(sorted.size(), p);
+  const std::size_t hi = std::min(r.lo + 1, sorted.size() - 1);
+  return sorted[r.lo] * (1.0 - r.frac) + sorted[hi] * r.frac;
 }
 
 double MeanSquaredError(std::span<const float> reference,

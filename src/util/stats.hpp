@@ -20,8 +20,11 @@ struct Summary {
 Summary Summarize(std::span<const double> values);
 Summary Summarize(std::span<const float> values);
 
-/// Linear-interpolated percentile; `p` in [0, 100]. Copies and sorts.
+/// Linear-interpolated percentile; `p` in [0, 100].  Copies, then selects the
+/// two bracketing order statistics in O(n) rather than sorting.
 double Percentile(std::span<const double> values, double p);
+/// Percentile() of values already in ascending order, without the copy.
+double PercentileOfSorted(std::span<const double> sorted, double p);
 
 /// Mean squared error between a reference tensor and its reconstruction.
 double MeanSquaredError(std::span<const float> reference,

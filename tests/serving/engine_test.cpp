@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
+#include <string>
+
 namespace liquid::serving {
 namespace {
 
@@ -130,6 +134,153 @@ TEST(EngineTest, DecodeStepGrowsWithKvLength) {
   EXPECT_GT(engine.DecodeStepSeconds(64, 2048),
             engine.DecodeStepSeconds(64, 512));
 }
+
+// Recomputes engine prices straight from simgpu and the attention model, in
+// the engine's operand order, so memoized prices must match bit for bit.
+// "Others" is closed-form and never memoized; it comes from a separate engine.
+class PriceOracle {
+ public:
+  PriceOracle(const SystemPreset& preset, const LlmConfig& model,
+              EngineOptions options)
+      : model_(model),
+        kernel_(simgpu::KernelConfig::For(preset.kernel)),
+        options_(options),
+        others_probe_(kH800, preset, model, options) {
+    attn_.kv_bits = preset.kv_bits;
+    attn_.efficiency = preset.attention_efficiency;
+    attn_.fp8_math = preset.fp8_attention;
+  }
+
+  [[nodiscard]] double DecodeStep(std::size_t batch, std::size_t kv) const {
+    LayerBreakdown layer;
+    layer.gemm = LayerGemm(batch);
+    layer.attention = DecodeAttentionSeconds(kH800, model_, attn_, batch, kv) /
+                      static_cast<double>(model_.num_layers);
+    layer.others = Others(batch);
+    const simgpu::GemmCall lm_head{
+        GemmShape{batch, static_cast<std::size_t>(model_.vocab),
+                  static_cast<std::size_t>(model_.hidden)},
+        1};
+    const double t_lm = simgpu::SimulateGemmSequence(kH800, kernel_, {lm_head});
+    return layer.total() * model_.num_layers + t_lm;
+  }
+
+  [[nodiscard]] double Prefill(std::size_t batch, std::size_t len) const {
+    const std::size_t chunk = options_.prefill_chunk_tokens;
+    if (chunk == 0 || len <= chunk) {
+      const std::size_t tokens = batch * len;
+      const double gemm = LayerGemm(tokens) * model_.num_layers;
+      const double attention =
+          PrefillAttentionSeconds(kH800, model_, attn_, batch, len);
+      const double others =
+          Others(tokens) * static_cast<double>(model_.num_layers);
+      return gemm + attention + others;
+    }
+    double total = 0.0;
+    for (std::size_t done = 0; done < len;) {
+      const std::size_t this_chunk = std::min(chunk, len - done);
+      total += Chunk(batch, this_chunk, done);
+      done += this_chunk;
+    }
+    return total;
+  }
+
+  [[nodiscard]] double Chunk(std::size_t batch, std::size_t chunk_tokens,
+                             std::size_t prior) const {
+    const std::size_t tokens = batch * chunk_tokens;
+    double total = LayerGemm(tokens) * model_.num_layers;
+    total += PrefillAttentionSeconds(kH800, model_, attn_, batch, chunk_tokens);
+    if (prior > 0) {
+      total += CrossAttentionSeconds(kH800, model_, attn_, batch, chunk_tokens,
+                                     prior);
+    }
+    total += Others(tokens) * static_cast<double>(model_.num_layers);
+    return total;
+  }
+
+ private:
+  [[nodiscard]] double LayerGemm(std::size_t tokens) const {
+    return simgpu::SimulateGemmSequence(kH800, kernel_,
+                                        model_.LayerGemms(tokens));
+  }
+  [[nodiscard]] double Others(std::size_t tokens) const {
+    return others_probe_.DecodeLayerBreakdown(tokens, 0).others;
+  }
+
+  LlmConfig model_;
+  simgpu::KernelConfig kernel_;
+  EngineOptions options_;
+  AttentionCostConfig attn_;
+  ServingEngine others_probe_;
+};
+
+class EnginePriceTest : public ::testing::TestWithParam<SystemPreset> {};
+
+TEST_P(EnginePriceTest, DecodeStepMatchesRecomputation) {
+  const LlmConfig m = LlmConfig::Llama2_7B();
+  const ServingEngine engine(kH800, GetParam(), m);
+  const PriceOracle oracle(GetParam(), m, {});
+  // First pass fills the memo (fresh engine); the second reads it (warm).
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const std::size_t b : {1, 2, 3, 8, 16, 64}) {
+      for (const std::size_t kv : {0, 1, 17, 512, 2048}) {
+        EXPECT_EQ(engine.DecodeStepSeconds(b, kv), oracle.DecodeStep(b, kv))
+            << "pass=" << pass << " batch=" << b << " kv=" << kv;
+      }
+    }
+  }
+}
+
+TEST_P(EnginePriceTest, PrefillMatchesRecomputation) {
+  const LlmConfig m = LlmConfig::Llama2_7B();
+  for (const std::size_t chunk : {0, 2048}) {
+    EngineOptions options;
+    options.prefill_chunk_tokens = chunk;
+    const ServingEngine engine(kH800, GetParam(), m, options);
+    const PriceOracle oracle(GetParam(), m, options);
+    for (int pass = 0; pass < 2; ++pass) {
+      for (const std::size_t batch : {2, 3}) {
+        for (const std::size_t len : {2047, 2048, 2049, 3 * 2048 + 5}) {
+          EXPECT_EQ(engine.PrefillSeconds(batch, len),
+                    oracle.Prefill(batch, len))
+              << "pass=" << pass << " chunk=" << chunk << " batch=" << batch
+              << " len=" << len;
+        }
+      }
+    }
+    // Decode at a token count a prefill already memoized: the shared entry
+    // must still price the LM head.
+    EXPECT_EQ(engine.DecodeStepSeconds(2 * 2048, 64),
+              oracle.DecodeStep(2 * 2048, 64));
+  }
+}
+
+TEST_P(EnginePriceTest, PrefillChunkMatchesRecomputation) {
+  const LlmConfig m = LlmConfig::Llama2_7B();
+  const ServingEngine engine(kH800, GetParam(), m);
+  const PriceOracle oracle(GetParam(), m, {});
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const std::size_t len : {1, 255, 2048}) {
+      for (const std::size_t prior : {0, 1, 4096}) {
+        EXPECT_EQ(engine.PrefillChunkSeconds(len, prior),
+                  oracle.Chunk(1, len, prior))
+            << "pass=" << pass << " len=" << len << " prior=" << prior;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Presets, EnginePriceTest,
+    ::testing::Values(SystemPreset::LiquidServe(), SystemPreset::QServe(),
+                      SystemPreset::TrtW8A8()),
+    [](const ::testing::TestParamInfo<SystemPreset>& param_info) {
+      std::string name;
+      for (const char c : param_info.param.name) {
+        if (std::isalnum(static_cast<unsigned char>(c)) != 0) name += c;
+      }
+      return name;
+    });
 
 }  // namespace
 }  // namespace liquid::serving

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/rng.hpp"
+
 namespace liquid {
 namespace {
 
@@ -53,6 +55,31 @@ TEST(SlidingWindowTest, WindowBoundaryIsInclusive) {
   // now - window == t exactly: the sample is still live.
   EXPECT_EQ(w.Count(10.0), 1u);
   EXPECT_DOUBLE_EQ(w.Percentile(10.0, 50), 7.0);
+}
+
+TEST(SlidingWindowTest, KeptOrderMatchesFreshSort) {
+  // Once queried, the window keeps its values sorted across adds (some out
+  // of order) and evictions; every answer must equal a fresh sort of the
+  // same live samples, which a never-queried copy of a twin computes.
+  SlidingWindowStats kept(5.0);
+  SlidingWindowStats twin(5.0);
+  Rng rng(11);
+  double t = 0;
+  for (int i = 0; i < 600; ++i) {
+    t += rng.Uniform(0.0, 0.2);
+    const double at = t - rng.Uniform(0.0, 0.5);
+    const double value = 0.5 * static_cast<double>(rng.Below(20));
+    kept.Add(at, value);
+    twin.Add(at, value);
+    if (i < 50 || i % 7 != 3) continue;
+    const double now = t + rng.Uniform(0.0, 1.0);
+    ASSERT_EQ(kept.Count(now), twin.Count(now));
+    for (const double p : {0.0, 50.0, 99.0, 100.0}) {
+      SlidingWindowStats fresh = twin;
+      EXPECT_EQ(kept.Percentile(now, p), fresh.Percentile(now, p))
+          << "i=" << i << " p=" << p;
+    }
+  }
 }
 
 }  // namespace

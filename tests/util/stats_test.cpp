@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
+
+#include "util/rng.hpp"
 
 namespace liquid {
 namespace {
@@ -31,6 +34,33 @@ TEST(StatsTest, PercentileInterpolates) {
   EXPECT_DOUBLE_EQ(Percentile(v, 100), 50.0);
   EXPECT_DOUBLE_EQ(Percentile(v, 25), 20.0);
   EXPECT_DOUBLE_EQ(Percentile(v, 12.5), 15.0);
+}
+
+TEST(StatsTest, PercentileMatchesSortOracle) {
+  // Oracle: full sort, then interpolate between the bracketing ranks.
+  const auto oracle = [](std::vector<double> v, double p) {
+    std::sort(v.begin(), v.end());
+    const double rank = (p / 100.0) * static_cast<double>(v.size() - 1);
+    const std::size_t lo = static_cast<std::size_t>(rank);
+    const std::size_t hi = std::min(lo + 1, v.size() - 1);
+    const double frac = rank - static_cast<double>(lo);
+    return v[lo] * (1.0 - frac) + v[hi] * frac;
+  };
+  Rng rng(7);
+  for (std::size_t n = 1; n <= 64; ++n) {
+    std::vector<double> v(n);
+    // Few distinct levels, so most inputs carry duplicates.
+    for (double& x : v) {
+      x = 0.25 * static_cast<double>(rng.Below(n / 3 + 1)) - 1.0;
+    }
+    for (const double p : {0.0, 1.0, 50.0, 99.0, 99.9, 100.0}) {
+      EXPECT_EQ(Percentile(v, p), oracle(v, p)) << "n=" << n << " p=" << p;
+      std::vector<double> sorted = v;
+      std::sort(sorted.begin(), sorted.end());
+      EXPECT_EQ(PercentileOfSorted(sorted, p), oracle(v, p))
+          << "n=" << n << " p=" << p;
+    }
+  }
 }
 
 TEST(StatsTest, MseAndSqnr) {
