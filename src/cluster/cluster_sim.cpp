@@ -82,8 +82,8 @@ std::size_t ClusterSimulator::AddReplicaImpl(const ReplicaSpec& spec) {
   r.id = replicas_.size();
   r.spec = spec;
   r.pool = PoolFor(spec.role);
-  r.engine = std::make_unique<serving::ServingEngine>(spec.hw, spec.preset,
-                                                      spec.model, spec.options);
+  r.engine = std::make_unique<serving::ServingEngine>(
+      spec.hw, spec.preset, spec.model, spec.options, block_cache_);
   r.scheduler = std::make_unique<serving::ContinuousBatchScheduler>(
       *r.engine, spec.kv_pool_blocks, spec.block_tokens, spec.max_batch);
   if (!autoscale_spec_) autoscale_spec_ = spec;

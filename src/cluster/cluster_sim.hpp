@@ -514,6 +514,12 @@ class ClusterSimulator {
   RetryPolicy retry_ LIQUID_GUARDED_BY(coordinator_role_);
   DisaggCoordinator coordinator_ LIQUID_GUARDED_BY(coordinator_role_);
   std::vector<Replica> replicas_ LIQUID_GUARDED_BY(coordinator_role_);
+  /// Block-pipeline prices shared by every replica's engine, scale-ups
+  /// included, so each distinct GEMM block is simulated once per fleet.  The
+  /// cache locks itself: parallel replica steps price through it.
+  std::shared_ptr<simgpu::BlockPipelineCache> block_cache_
+      LIQUID_GUARDED_BY(coordinator_role_) =
+          std::make_shared<simgpu::BlockPipelineCache>();
   /// First added spec.
   std::optional<ReplicaSpec> autoscale_spec_
       LIQUID_GUARDED_BY(coordinator_role_);

@@ -22,12 +22,17 @@ double BaseOthersPerLayer(const simgpu::HardwareSpec& hw,
 }  // namespace
 
 ServingEngine::ServingEngine(simgpu::HardwareSpec hw, SystemPreset preset,
-                             LlmConfig model, EngineOptions options)
+                             LlmConfig model, EngineOptions options,
+                             std::shared_ptr<simgpu::BlockPipelineCache>
+                                 block_cache)
     : hw_(std::move(hw)),
       preset_(std::move(preset)),
       model_(std::move(model)),
       options_(options),
-      kernel_(simgpu::KernelConfig::For(preset_.kernel)) {}
+      kernel_(simgpu::KernelConfig::For(preset_.kernel)),
+      block_cache_(block_cache
+                       ? std::move(block_cache)
+                       : std::make_shared<simgpu::BlockPipelineCache>()) {}
 
 double ServingEngine::OthersPerLayer(std::size_t batch) const {
   return BaseOthersPerLayer(hw_, model_, batch) * preset_.other_overhead;
@@ -44,8 +49,8 @@ AttentionCostConfig ServingEngine::AttentionConfig() const {
 double ServingEngine::LayerGemmSeconds(std::size_t tokens) const {
   const auto [it, fresh] = gemm_memo_.try_emplace(tokens);
   if (fresh) {
-    it->second.layer = simgpu::SimulateGemmSequence(hw_, kernel_,
-                                                    model_.LayerGemms(tokens));
+    it->second.layer = simgpu::SimulateGemmSequence(
+        hw_, kernel_, model_.LayerGemms(tokens), block_cache_.get());
   }
   return it->second.layer;
 }
@@ -71,7 +76,8 @@ double ServingEngine::DecodeStepSeconds(std::size_t batch,
         GemmShape{batch, static_cast<std::size_t>(model_.vocab),
                   static_cast<std::size_t>(model_.hidden)},
         1};
-    t_lm = simgpu::SimulateGemmSequence(hw_, kernel_, {lm_head});
+    t_lm = simgpu::SimulateGemmSequence(hw_, kernel_, {lm_head},
+                                        block_cache_.get());
   }
   return layer.total() * model_.num_layers + *t_lm;
 }

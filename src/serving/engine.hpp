@@ -12,6 +12,7 @@
 // pool is validated against a real KvBlockManager allocation.
 
 #include <cstddef>
+#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -62,8 +63,12 @@ struct EngineOptions {
 
 class ServingEngine {
  public:
+  /// `block_cache` prices the engine's GEMM blocks; engines that share one
+  /// (a cluster's replicas) simulate each distinct block once between them.
+  /// Null builds a private cache.
   ServingEngine(simgpu::HardwareSpec hw, SystemPreset preset, LlmConfig model,
-                EngineOptions options = {});
+                EngineOptions options = {},
+                std::shared_ptr<simgpu::BlockPipelineCache> block_cache = {});
 
   /// Full run at a fixed batch size.
   [[nodiscard]] ServingResult Run(const ServingWorkload& workload) const;
@@ -131,19 +136,32 @@ class ServingEngine {
 
   /// Every price is closed-form attention and "others" flops plus simgpu GEMM
   /// time, and only the GEMM time is expensive to evaluate (a block-pipeline
-  /// simulation per GEMM).  It depends on nothing but the row count, so one
-  /// memo keyed by token count serves decode steps, whole and chunked
-  /// prefills alike: the per-layer chain at that many rows, plus the LM head
-  /// at that batch once a decode step has asked for it.  The scheduler sees
-  /// at most a few thousand distinct counts per run.  Engines are used
-  /// single-threaded; the memo is not locked.
+  /// simulation per GEMM).  It is memoized at two levels:
+  ///   1. `gemm_memo_`, this engine's memo keyed by token count: the
+  ///      per-layer chain at that many rows, plus the LM head at that batch
+  ///      once a decode step has asked for it.  It serves decode steps, whole
+  ///      and chunked prefills alike, and is the hot path: a hit is one hash
+  ///      lookup.  Engines are used single-threaded, so it is not locked.
+  ///   2. `block_cache_`, on the memo's miss path only: the block-pipeline
+  ///      results keyed by the exact block input, shared by every engine of
+  ///      a cluster.  The block input depends on the token count only through
+  ///      the saturating batch tile, so a fresh replica's first prices are
+  ///      mostly hits on blocks other replicas (or other token counts)
+  ///      already simulated.
+  /// Both earn their place: with the block cache in place, dropping the
+  /// token memo cut `perfbench --workload fleet_steady` from ~520k to ~140k
+  /// work/s (4-vCPU Xeon VM, gcc 12.2, Release), because a memo miss
+  /// rebuilds the layer's GEMM list and sets up four GEMMs, each with a
+  /// locked block lookup, where a hit is one hash probe.
   /// Determinism audit: pure memoization, keyed lookup/insert only — never
-  /// iterated, and a hit returns the identical double a miss would compute.
+  /// iterated, and a hit returns the identical double a miss would compute
+  /// (the block cache's key holds every field the simulation reads).
   struct GemmMemo {
     double layer = 0;
     std::optional<double> lm_head;
   };
   mutable std::unordered_map<std::size_t, GemmMemo> gemm_memo_;
+  std::shared_ptr<simgpu::BlockPipelineCache> block_cache_;
 };
 
 }  // namespace liquid::serving

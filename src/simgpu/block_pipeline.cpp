@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cassert>
 #include <vector>
 
@@ -130,6 +131,50 @@ BlockPipelineResult SimulateBlockPipeline(const BlockPipelineInput& in) {
     out.mma_log = tc.log();
   }
   return out;
+}
+
+BlockPipelineResult BlockPipelineCache::Simulate(
+    const BlockPipelineInput& in) {
+  if (in.record_trace) return SimulateBlockPipeline(in);
+  const auto word = [](int v) {
+    return static_cast<std::uint64_t>(static_cast<std::int64_t>(v));
+  };
+  const Key key{word(static_cast<int>(in.pipeline)),
+                word(in.k_iters),
+                std::bit_cast<std::uint64_t>(in.t_load),
+                std::bit_cast<std::uint64_t>(in.t_dequant),
+                std::bit_cast<std::uint64_t>(in.t_mma),
+                std::bit_cast<std::uint64_t>(in.t_smem_roundtrip),
+                std::bit_cast<std::uint64_t>(in.t_sync),
+                word(in.compute_wgs),
+                word(in.fine_tasks),
+                word(in.stage_depth)};
+  {
+    util::MutexLock lock(mu_);
+    const auto it = entries_.find(key);
+    if (it != entries_.end()) return it->second;
+  }
+  // Simulate outside the lock; a racing miss on the same key computes the
+  // same doubles, so whichever insert lands first is as good as the other.
+  BlockPipelineResult out = SimulateBlockPipeline(in);
+  util::MutexLock lock(mu_);
+  entries_.try_emplace(key, out);
+  return out;
+}
+
+std::size_t BlockPipelineCache::size() const {
+  util::MutexLock lock(mu_);
+  return entries_.size();
+}
+
+std::size_t BlockPipelineCache::KeyHash::operator()(const Key& key) const {
+  // FNV-1a over the key's words.
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const std::uint64_t w : key) {
+    h ^= w;
+    h *= 0x100000001b3ull;
+  }
+  return static_cast<std::size_t>(h);
 }
 
 }  // namespace liquid::simgpu

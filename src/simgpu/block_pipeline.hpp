@@ -21,10 +21,15 @@
 // Per-iteration stage durations are inputs; the simulation produces the block
 // completion time plus per-unit busy times and (optionally) interval logs.
 
+#include <array>
+#include <cstddef>
+#include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "simgpu/kernel_config.hpp"
 #include "simgpu/timeline.hpp"
+#include "util/thread_annotations.hpp"
 
 namespace liquid::simgpu {
 
@@ -57,5 +62,38 @@ struct BlockPipelineResult {
 };
 
 BlockPipelineResult SimulateBlockPipeline(const BlockPipelineInput& in);
+
+/// Memo of SimulateBlockPipeline keyed by the exact bits of every input field
+/// the simulation reads (all but `record_trace`).  The key therefore holds
+/// everything that distinguishes one hardware spec, kernel preset, model
+/// shape or batch from another, so one cache can serve a whole fleet of
+/// mixed replicas, and a hit returns the identical doubles a miss computes.
+/// Block inputs depend on the token count only through the saturating batch
+/// tile, so a chaos fleet episode that prices thousands of GEMMs sees only
+/// about a hundred distinct inputs.  Thread-safe: parallel replicas share one
+/// cache.
+class BlockPipelineCache {
+ public:
+  /// SimulateBlockPipeline(in), answered from the cache when an identical
+  /// input was simulated before.  `record_trace` calls bypass the cache, so
+  /// their interval logs are always fresh.
+  [[nodiscard]] BlockPipelineResult Simulate(const BlockPipelineInput& in)
+      LIQUID_EXCLUDES(mu_);
+
+  /// Distinct inputs simulated so far.
+  [[nodiscard]] std::size_t size() const LIQUID_EXCLUDES(mu_);
+
+ private:
+  using Key = std::array<std::uint64_t, 10>;
+  struct KeyHash {
+    std::size_t operator()(const Key& key) const;
+  };
+  mutable util::Mutex mu_;
+  /// Untraced results (empty logs).  Determinism audit: keyed lookup and
+  /// insert only — never iterated, and a hit returns the identical doubles a
+  /// miss would compute.
+  std::unordered_map<Key, BlockPipelineResult, KeyHash> entries_
+      LIQUID_GUARDED_BY(mu_);
+};
 
 }  // namespace liquid::simgpu

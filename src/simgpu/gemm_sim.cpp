@@ -12,6 +12,11 @@ std::size_t CeilDiv(std::size_t a, std::size_t b) { return (a + b - 1) / b; }
 /// Rounds the batch up to the WGMMA n-granularity of 8.
 std::size_t RoundUp8(std::size_t m) { return std::max<std::size_t>(8, (m + 7) / 8 * 8); }
 
+BlockPipelineResult SimulateBlock(const BlockPipelineInput& in,
+                                  BlockPipelineCache* cache) {
+  return cache != nullptr ? cache->Simulate(in) : SimulateBlockPipeline(in);
+}
+
 }  // namespace
 
 GemmSimResult SimulateGemm(const HardwareSpec& hw, const KernelConfig& cfg,
@@ -112,7 +117,7 @@ GemmSimResult SimulateGemm(const HardwareSpec& hw, const KernelConfig& cfg,
   in.stage_depth = cfg.stage_depth;
   in.record_trace = options.record_trace;
 
-  BlockPipelineResult block = SimulateBlockPipeline(in);
+  BlockPipelineResult block = SimulateBlock(in, options.block_cache);
 
   // Per-tile extras outside the main loop: activation slice load (fill) and
   // the epilogue writeback of the FP16 output tile.
@@ -139,7 +144,7 @@ GemmSimResult SimulateGemm(const HardwareSpec& hw, const KernelConfig& cfg,
     fill_in.k_iters = std::min(2, k_iters);
     fill_in.record_trace = false;
     const double fill =
-        std::max(0.0, SimulateBlockPipeline(fill_in).total -
+        std::max(0.0, SimulateBlock(fill_in, options.block_cache).total -
                           static_cast<double>(fill_in.k_iters) *
                               (block.total / static_cast<double>(k_iters)));
     const double steady = std::max(0.0, block_time - fill);
@@ -174,11 +179,13 @@ GemmSimResult SimulateGemm(const HardwareSpec& hw, const KernelConfig& cfg,
 }
 
 double SimulateGemmSequence(const HardwareSpec& hw, const KernelConfig& cfg,
-                            const std::vector<GemmCall>& calls) {
+                            const std::vector<GemmCall>& calls,
+                            BlockPipelineCache* block_cache) {
   double total = 0.0;
   for (const GemmCall& call : calls) {
     GemmSimOptions options;
     options.grouped = call.grouped;
+    options.block_cache = block_cache;
     total += SimulateGemm(hw, cfg, call.shape, options).seconds;
   }
   return total;

@@ -19,6 +19,9 @@ namespace liquid::simgpu {
 struct GemmSimOptions {
   int grouped = 1;           ///< number of equal-shape GEMMs in the group
   bool record_trace = false;
+  /// Block simulations (main loop and persistent-kernel fill) go through
+  /// this cache when set; null simulates every block afresh.
+  BlockPipelineCache* block_cache = nullptr;
 };
 
 struct GemmSimResult {
@@ -46,6 +49,7 @@ struct GemmCall {
   int grouped = 1;
 };
 double SimulateGemmSequence(const HardwareSpec& hw, const KernelConfig& cfg,
-                            const std::vector<GemmCall>& calls);
+                            const std::vector<GemmCall>& calls,
+                            BlockPipelineCache* block_cache = nullptr);
 
 }  // namespace liquid::simgpu

@@ -63,20 +63,6 @@ class Track {
   std::vector<Interval> log_;
 };
 
-/// Co-allocates several tracks for one operation: the operation starts when
-/// all tracks (and the data dependency `ready`) allow, and occupies each for
-/// `duration`.  Returns the shared interval.
-template <typename... Tracks>
-Interval ClaimAll(double ready, double duration, Tracks&... tracks) {
-  double start = ready;
-  ((start = std::max(start, tracks.free_at())), ...);
-  Interval iv{start, start + duration};
-  // Claim at the common start; each Claim sees ready >= its free_at so the
-  // interval is identical on every track.
-  ((void)tracks.Claim(start, duration), ...);
-  return iv;
-}
-
 /// Utilization of a track over a window: busy_time / window.
 inline double Utilization(const Track& t, double window) {
   return window > 0 ? t.busy_time() / window : 0.0;

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <memory>
 #include <string>
 
 namespace liquid::serving {
@@ -268,6 +269,53 @@ TEST_P(EnginePriceTest, PrefillChunkMatchesRecomputation) {
       }
     }
   }
+}
+
+TEST(EngineBlockCacheTest, SharedCacheMatchesStandaloneEngines) {
+  // Two engines on different GPUs and presets share one block cache and
+  // interleave their calls; every price must equal a standalone engine's.
+  const LlmConfig m = LlmConfig::Llama2_7B();
+  const simgpu::HardwareSpec a100 = simgpu::HardwareSpec::A100();
+  EngineOptions chunked;
+  chunked.prefill_chunk_tokens = 2048;
+  const auto cache = std::make_shared<simgpu::BlockPipelineCache>();
+  const ServingEngine shared_liquid(kH800, SystemPreset::LiquidServe(), m, {},
+                                    cache);
+  const ServingEngine shared_qserve(a100, SystemPreset::QServe(), m, chunked,
+                                    cache);
+  const ServingEngine liquid(kH800, SystemPreset::LiquidServe(), m);
+  const ServingEngine qserve(a100, SystemPreset::QServe(), m, chunked);
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const std::size_t b : {1, 3, 8, 9, 64, 129}) {
+      for (const std::size_t kv : {0, 512}) {
+        EXPECT_EQ(shared_liquid.DecodeStepSeconds(b, kv),
+                  liquid.DecodeStepSeconds(b, kv))
+            << "pass=" << pass << " batch=" << b << " kv=" << kv;
+        EXPECT_EQ(shared_qserve.DecodeStepSeconds(b, kv),
+                  qserve.DecodeStepSeconds(b, kv))
+            << "pass=" << pass << " batch=" << b << " kv=" << kv;
+      }
+      for (const std::size_t len : {255, 2049}) {
+        EXPECT_EQ(shared_qserve.PrefillSeconds(b, len),
+                  qserve.PrefillSeconds(b, len))
+            << "pass=" << pass << " batch=" << b << " len=" << len;
+        EXPECT_EQ(shared_liquid.PrefillSeconds(b, len),
+                  liquid.PrefillSeconds(b, len))
+            << "pass=" << pass << " batch=" << b << " len=" << len;
+      }
+    }
+    for (const std::size_t len : {1, 255, 2048}) {
+      for (const std::size_t prior : {0, 4096}) {
+        EXPECT_EQ(shared_liquid.PrefillChunkSeconds(len, prior),
+                  liquid.PrefillChunkSeconds(len, prior))
+            << "pass=" << pass << " len=" << len << " prior=" << prior;
+        EXPECT_EQ(shared_qserve.PrefillChunkSeconds(len, prior),
+                  qserve.PrefillChunkSeconds(len, prior))
+            << "pass=" << pass << " len=" << len << " prior=" << prior;
+      }
+    }
+  }
+  EXPECT_GT(cache->size(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -41,18 +41,6 @@ TEST(TimelineTest, ZeroDurationClaimsNotLogged) {
   EXPECT_TRUE(t.log().empty());
 }
 
-TEST(TimelineTest, ClaimAllWaitsForAllTracks) {
-  Track a("a");
-  Track b("b");
-  (void)a.Claim(0.0, 3.0);  // a busy until 3
-  (void)b.Claim(0.0, 1.0);  // b busy until 1
-  const Interval iv = ClaimAll(2.0, 1.0, a, b);
-  EXPECT_EQ(iv.start, 3.0);  // limited by a
-  EXPECT_EQ(iv.end, 4.0);
-  EXPECT_EQ(a.free_at(), 4.0);
-  EXPECT_EQ(b.free_at(), 4.0);
-}
-
 TEST(TimelineTest, UtilizationFraction) {
   Track t("t");
   (void)t.Claim(0.0, 2.0);
