@@ -57,17 +57,11 @@ std::vector<serving::TimedRequest> OverloadTrace(std::size_t count,
   return serving::GenerateTrace(config, seed);
 }
 
-/// --threads: every fleet in this bench runs with this many workers (the
-/// parallel runtime's results are identical to the serial oracle, so the
-/// tables and goldens don't change with it).
-std::size_t g_threads = 1;
-
 FleetStats RunChaos(const std::vector<serving::TimedRequest>& trace,
                     SloConfig slo, AutoscaleConfig autoscale = {},
                     obs::TraceRecorder* recorder = nullptr,
                     obs::MetricsRegistry* metrics = nullptr) {
   ClusterSimulator sim(RoutePolicy::kLeastOutstanding, autoscale, slo);
-  sim.SetThreads(g_threads);
   for (int i = 0; i < 3; ++i) sim.AddReplica(Replica());
   sim.ScheduleKill({trace[trace.size() / 2].arrival_seconds, /*replica=*/1});
   sim.AttachTelemetry(recorder, metrics);
@@ -87,8 +81,8 @@ void AddChaosRow(Table& table, const char* label, const FleetStats& s) {
 
 int main(int argc, char** argv) {
   const CliFlags flags = ParseCliFlags(argc, argv);
+  RejectUnknownFlags(flags.positional);
   obs::MaybeEnableProfiler(flags);
-  g_threads = flags.threads;
   const auto trace = OverloadTrace(flags.quick ? 200 : 300,
                                    flags.seed_set ? flags.seed : 99);
   obs::TraceRecorder recorder;

@@ -75,10 +75,6 @@ std::vector<serving::TimedRequest> LongPromptMix(std::size_t count,
   return serving::GenerateTrace(config, seed);
 }
 
-/// --threads: worker count for every fleet in this bench (results are
-/// identical to the serial oracle by the parallel runtime's contract).
-std::size_t g_threads = 1;
-
 FleetStats RunSplit(const std::vector<serving::TimedRequest>& trace,
                     std::size_t prefills, std::size_t decodes,
                     double bandwidth_gb_per_s,
@@ -88,7 +84,6 @@ FleetStats RunSplit(const std::vector<serving::TimedRequest>& trace,
   disagg.interconnect.bandwidth_gb_per_s = bandwidth_gb_per_s;
   disagg.max_migration_seconds = 0.25;
   ClusterSimulator sim(RoutePolicy::kLeastOutstanding, {}, {}, {}, disagg);
-  sim.SetThreads(g_threads);
   for (std::size_t i = 0; i < prefills; ++i) {
     sim.AddReplica(Replica(ReplicaRole::kPrefill));
   }
@@ -102,7 +97,6 @@ FleetStats RunSplit(const std::vector<serving::TimedRequest>& trace,
 FleetStats RunUnified(const std::vector<serving::TimedRequest>& trace,
                       std::size_t replicas) {
   ClusterSimulator sim(RoutePolicy::kLeastOutstanding);
-  sim.SetThreads(g_threads);
   for (std::size_t i = 0; i < replicas; ++i) {
     ReplicaSpec spec = Replica(ReplicaRole::kUnified);
     sim.AddReplica(spec);
@@ -123,8 +117,8 @@ void AddRow(Table& table, const std::string& label, const FleetStats& s) {
 
 int main(int argc, char** argv) {
   const CliFlags flags = ParseCliFlags(argc, argv);
+  RejectUnknownFlags(flags.positional);
   obs::MaybeEnableProfiler(flags);
-  g_threads = flags.threads;
   const std::size_t count = flags.quick ? 80 : 300;
   const auto trace = LongPromptMix(count, flags.seed_set ? flags.seed : 2025);
   const double nvlink = 400.0;  // GB/s per directed link

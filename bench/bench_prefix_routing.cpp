@@ -67,17 +67,12 @@ std::vector<serving::TimedRequest> SharedPrefixMix(double shared_fraction,
   return serving::GenerateTrace(config, seed);
 }
 
-/// --threads: worker count for every fleet in this bench (results are
-/// identical to the serial oracle by the parallel runtime's contract).
-std::size_t g_threads = 1;
-
 FleetStats RunPreset(RoutePolicy policy,
                      const std::vector<serving::TimedRequest>& trace,
                      std::size_t replicas,
                      obs::TraceRecorder* recorder = nullptr,
                      obs::MetricsRegistry* metrics = nullptr) {
   ClusterSimulator sim(policy);
-  sim.SetThreads(g_threads);
   for (std::size_t i = 0; i < replicas; ++i) {
     sim.AddReplica(UnifiedReplica());
   }
@@ -89,8 +84,8 @@ FleetStats RunPreset(RoutePolicy policy,
 
 int main(int argc, char** argv) {
   const CliFlags flags = ParseCliFlags(argc, argv);
+  RejectUnknownFlags(flags.positional);
   obs::MaybeEnableProfiler(flags);
-  g_threads = flags.threads;
   const std::size_t count = flags.quick ? 100 : 300;
   const std::uint64_t seed = flags.seed_set ? flags.seed : 7;
   const std::size_t replicas = 4;

@@ -73,6 +73,7 @@ double RunOnce(const std::vector<serving::TimedRequest>& trace, bool traced,
 
 int main(int argc, char** argv) {
   const CliFlags flags = ParseCliFlags(argc, argv);
+  RejectUnknownFlags(flags.positional);
   const std::size_t count = flags.quick ? 120 : 400;
   const int reps = flags.quick ? 3 : 5;
 

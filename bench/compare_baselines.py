@@ -21,15 +21,11 @@ import json
 import sys
 
 # Dotted-path suffixes measured on the host wall clock: report, never gate.
-# speedup_vs_1_thread is a ratio of two wall-clock rates (the thread_scaling
-# section of bench_sim_throughput) — the CI perf floor for it lives in the
-# bench's own --check-speedup gate, which knows to skip on small hosts.
 WALL_CLOCK_SUFFIXES = (
     "wall_seconds",
     "events_per_sec",
     "sim_seconds_per_wall_second",
     "wall_seconds_per_sim_hour",
-    "speedup_vs_1_thread",
 )
 
 # Per-metric relative tolerances, matched on the dotted-path suffix; the

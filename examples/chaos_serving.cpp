@@ -42,16 +42,11 @@ ReplicaSpec ChaosSpec() {
   return spec;
 }
 
-/// --threads: worker count for every episode (results are identical to the
-/// serial oracle by the parallel runtime's contract).
-std::size_t g_threads = 1;
-
 FleetStats RunEpisode(std::size_t replicas,
                       const std::vector<serving::TimedRequest>& trace,
                       SloConfig slo, obs::TraceRecorder* recorder = nullptr,
                       obs::MetricsRegistry* metrics = nullptr) {
   ClusterSimulator sim(RoutePolicy::kLeastOutstanding, AutoscaleConfig{}, slo);
-  sim.SetThreads(g_threads);
   for (std::size_t i = 0; i < replicas; ++i) sim.AddReplica(ChaosSpec());
   sim.ScheduleKill({trace[trace.size() / 2].arrival_seconds, /*replica=*/1});
   sim.AttachTelemetry(recorder, metrics);
@@ -62,8 +57,8 @@ FleetStats RunEpisode(std::size_t replicas,
 
 int main(int argc, char** argv) {
   const CliFlags flags = ParseCliFlags(argc, argv);
+  RejectUnknownFlags(flags.positional);
   obs::MaybeEnableProfiler(flags);
-  g_threads = flags.threads;
   const auto& pos = flags.positional;
   const std::size_t replicas =
       pos.size() > 0 ? std::max(2L, std::atol(pos[0].c_str())) : 3;

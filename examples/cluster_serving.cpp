@@ -28,6 +28,7 @@ using namespace liquid::cluster;
 
 int main(int argc, char** argv) {
   const CliFlags flags = ParseCliFlags(argc, argv);
+  RejectUnknownFlags(flags.positional);
   obs::MaybeEnableProfiler(flags);
   const auto& pos = flags.positional;
   RoutePolicy policy = RoutePolicy::kLeastKvLoad;
@@ -86,7 +87,6 @@ int main(int argc, char** argv) {
   const bool telemetry = flags.WantsTrace() || flags.WantsMetrics();
 
   ClusterSimulator sim(policy);
-  sim.SetThreads(flags.threads);
   for (std::size_t i = 0; i < replicas; ++i) sim.AddReplica(spec);
   sim.AttachTelemetry(telemetry ? &recorder : nullptr,
                       telemetry ? &metrics : nullptr);

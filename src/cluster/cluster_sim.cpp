@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <limits>
-#include <thread>
 
 #include "obs/prof/wall_profiler.hpp"
-#include "util/thread_pool.hpp"
 #include "util/wall_timer.hpp"
 
 namespace liquid::cluster {
@@ -34,42 +32,6 @@ ClusterSimulator::ClusterSimulator(RoutePolicy policy,
   next_autoscale_tick_ = autoscale_.tick_seconds;
 }
 
-ClusterSimulator::~ClusterSimulator() = default;
-
-void ClusterSimulator::SetThreads(std::size_t threads) {
-  util::RoleGuard role(coordinator_role_);
-  if (threads == 0) threads = std::thread::hardware_concurrency();
-  if (threads == 0) threads = 1;
-  threads_ = threads;
-  pool_.reset();
-  if (threads_ > 1) pool_ = std::make_unique<util::ThreadPool>(threads_);
-  // Re-aim every scheduler's trace hooks: at a private per-replica shard in
-  // parallel mode, back at the shared recorder in single-threaded mode.
-  for (Replica& r : replicas_) {
-    r.scheduler->SetTrace(ReplicaTraceSink(r.id), r.id);
-  }
-}
-
-obs::TraceRecorder* ClusterSimulator::ReplicaTraceSink(std::size_t id) {
-  if (trace_ == nullptr) return nullptr;
-  if (pool_ == nullptr) return trace_;
-  if (trace_shards_.size() <= id) trace_shards_.resize(id + 1);
-  if (!trace_shards_[id]) {
-    trace_shards_[id] = std::make_unique<obs::TraceRecorder>();
-  }
-  return trace_shards_[id].get();
-}
-
-void ClusterSimulator::MergeTraceShards() {
-  if (trace_ == nullptr || trace_shards_.empty()) return;
-  std::vector<obs::TraceRecorder*> shards;
-  shards.reserve(trace_shards_.size());
-  for (const auto& shard : trace_shards_) {
-    if (shard && !shard->empty()) shards.push_back(shard.get());
-  }
-  if (!shards.empty()) trace_->MergeShards(shards);
-}
-
 std::size_t ClusterSimulator::PoolFor(ReplicaRole role) const {
   for (std::size_t i = 0; i < autoscale_.pools.size(); ++i) {
     if (autoscale_.pools[i].role == role) return i;
@@ -77,7 +39,7 @@ std::size_t ClusterSimulator::PoolFor(ReplicaRole role) const {
   return kNoPool;
 }
 
-std::size_t ClusterSimulator::AddReplicaImpl(const ReplicaSpec& spec) {
+std::size_t ClusterSimulator::AddReplica(const ReplicaSpec& spec) {
   Replica r;
   r.id = replicas_.size();
   r.spec = spec;
@@ -114,7 +76,7 @@ std::size_t RoleIndex(ReplicaRole role) {
 
 void ClusterSimulator::WireReplicaTelemetry(Replica& replica) {
   if (trace_ == nullptr) return;
-  replica.scheduler->SetTrace(ReplicaTraceSink(replica.id), replica.id);
+  replica.scheduler->SetTrace(trace_, replica.id);
   const std::int32_t pid = obs::ReplicaPid(replica.id);
   std::string name = "replica " + std::to_string(replica.id) + " " +
                      replica.spec.Label();
@@ -128,7 +90,6 @@ void ClusterSimulator::WireReplicaTelemetry(Replica& replica) {
 
 void ClusterSimulator::AttachTelemetry(obs::TraceRecorder* trace,
                                        obs::MetricsRegistry* metrics) {
-  util::RoleGuard role(coordinator_role_);
   trace_ = trace;
   coordinator_.SetTrace(trace);
   if (trace_ != nullptr) {
@@ -229,9 +190,9 @@ void ClusterSimulator::SampleMetrics(double now) {
   metrics_->Sample(now);
 }
 
-bool ClusterSimulator::RemoveReplicaImpl(std::size_t id) {
+bool ClusterSimulator::RemoveReplica(std::size_t id) {
   if (id >= replicas_.size() || !replicas_[id].active) return false;
-  if (ActiveReplicasImpl() <= 1) return false;  // never strand in-flight work
+  if (ActiveReplicas() <= 1) return false;  // never strand in-flight work
   Replica& victim = replicas_[id];
   victim.active = false;
   router_.ForgetReplica(id);
@@ -318,7 +279,7 @@ bool ClusterSimulator::RemoveReplicaImpl(std::size_t id) {
   return true;
 }
 
-bool ClusterSimulator::KillReplicaImpl(std::size_t id, double now) {
+bool ClusterSimulator::KillReplica(std::size_t id, double now) {
   if (id >= replicas_.size() || !replicas_[id].active) return false;
   LIQUID_PROF_SCOPE("sim/events/kill");
   ++fleet_events_;
@@ -366,8 +327,7 @@ bool ClusterSimulator::KillReplicaImpl(std::size_t id, double now) {
   return true;
 }
 
-bool ClusterSimulator::DegradeReplicaImpl(std::size_t id,
-                                       double slowdown_factor) {
+bool ClusterSimulator::DegradeReplica(std::size_t id, double slowdown_factor) {
   if (id >= replicas_.size() || !replicas_[id].active) return false;
   LIQUID_PROF_SCOPE("sim/events/degrade");
   ++fleet_events_;
@@ -418,46 +378,13 @@ void ClusterSimulator::RetryLost(serving::TimedRequest retry, double now) {
   }
 }
 
-void ClusterSimulator::AdvanceToImpl(double deadline) {
+void ClusterSimulator::AdvanceTo(double deadline) {
   LIQUID_PROF_SCOPE("sim/advance");
-  StepReplicasTo(deadline);
+  for (Replica& r : replicas_) {
+    if (r.active) r.scheduler->StepUntil(deadline);
+  }
   HarvestCompletions();
   HarvestHandoffs();
-}
-
-void ClusterSimulator::StepReplicasTo(double deadline) {
-  if (pool_ == nullptr) {
-    for (Replica& r : replicas_) {
-      if (r.active) r.scheduler->StepUntil(deadline);
-    }
-    return;
-  }
-  // Parallel fan-out.  Each task runs one replica's private scheduler+engine
-  // to the barrier — no shared mutable state (trace hooks write the
-  // replica's own shard; GEMM counters are relaxed atomics) — so the
-  // post-barrier fleet state is bit-identical to the serial loop's.  Idle
-  // replicas only need their clock snapped to the deadline; do that inline
-  // instead of paying a task round-trip, and run one busy replica on this
-  // thread so the coordinator helps instead of just waiting.
-  busy_scratch_.clear();
-  for (Replica& r : replicas_) {
-    if (!r.active) continue;
-    if (r.scheduler->HasWork()) {
-      busy_scratch_.push_back(&r);
-    } else {
-      r.scheduler->StepUntil(deadline);
-    }
-  }
-  if (busy_scratch_.size() <= 1) {
-    for (Replica* r : busy_scratch_) r->scheduler->StepUntil(deadline);
-    return;
-  }
-  for (std::size_t i = 1; i < busy_scratch_.size(); ++i) {
-    serving::ContinuousBatchScheduler* scheduler = busy_scratch_[i]->scheduler.get();
-    pool_->Submit([scheduler, deadline] { scheduler->StepUntil(deadline); });
-  }
-  busy_scratch_.front()->scheduler->StepUntil(deadline);
-  pool_->WaitIdle();
 }
 
 void ClusterSimulator::HarvestCompletions() {
@@ -767,67 +694,24 @@ std::optional<std::size_t> ClusterSimulator::RouteOne(
   return dest;
 }
 
-std::optional<std::size_t> ClusterSimulator::SubmitAndRouteImpl(
+std::optional<std::size_t> ClusterSimulator::SubmitAndRoute(
     const serving::TimedRequest& request) {
   ++tally_.submitted;
   return RouteOne(request);
 }
 
-std::size_t ClusterSimulator::ActiveReplicasImpl() const {
+std::size_t ClusterSimulator::ActiveReplicas() const {
   std::size_t n = 0;
   for (const Replica& r : replicas_) n += r.active ? 1 : 0;
   return n;
 }
 
-std::size_t ClusterSimulator::TotalOutstandingImpl() const {
+std::size_t ClusterSimulator::TotalOutstanding() const {
   std::size_t n = 0;
   for (const Replica& r : replicas_) {
     if (r.active) n += r.scheduler->outstanding();
   }
   return n;
-}
-
-// --- public API: thin RoleGuard wrappers over the coordinator-role bodies ---
-
-std::size_t ClusterSimulator::AddReplica(const ReplicaSpec& spec) {
-  util::RoleGuard role(coordinator_role_);
-  return AddReplicaImpl(spec);
-}
-
-bool ClusterSimulator::RemoveReplica(std::size_t id) {
-  util::RoleGuard role(coordinator_role_);
-  return RemoveReplicaImpl(id);
-}
-
-bool ClusterSimulator::KillReplica(std::size_t id, double now) {
-  util::RoleGuard role(coordinator_role_);
-  return KillReplicaImpl(id, now);
-}
-
-bool ClusterSimulator::DegradeReplica(std::size_t id, double slowdown_factor) {
-  util::RoleGuard role(coordinator_role_);
-  return DegradeReplicaImpl(id, slowdown_factor);
-}
-
-void ClusterSimulator::AdvanceTo(double deadline) {
-  util::RoleGuard role(coordinator_role_);
-  AdvanceToImpl(deadline);
-}
-
-std::optional<std::size_t> ClusterSimulator::SubmitAndRoute(
-    const serving::TimedRequest& request) {
-  util::RoleGuard role(coordinator_role_);
-  return SubmitAndRouteImpl(request);
-}
-
-std::size_t ClusterSimulator::ActiveReplicas() const {
-  util::RoleGuard role(coordinator_role_);
-  return ActiveReplicasImpl();
-}
-
-std::size_t ClusterSimulator::TotalOutstanding() const {
-  util::RoleGuard role(coordinator_role_);
-  return TotalOutstandingImpl();
 }
 
 void ClusterSimulator::MaybeAutoscale(double now) {
@@ -845,7 +729,7 @@ void ClusterSimulator::MaybeAutoscale(double now) {
     return;
   }
   if (!autoscale_spec_) return;
-  const std::size_t active = ActiveReplicasImpl();
+  const std::size_t active = ActiveReplicas();
   if (active == 0) return;
 
   bool scale_up = false, scale_down = false;
@@ -858,7 +742,7 @@ void ClusterSimulator::MaybeAutoscale(double now) {
     for (const Replica& r : replicas_) {
       if (r.active) capacity += 1.0 / r.scheduler->slowdown();
     }
-    value = static_cast<double>(TotalOutstandingImpl()) / capacity;
+    value = static_cast<double>(TotalOutstanding()) / capacity;
     scale_up = value > autoscale_.queue_high;
     scale_down = value < autoscale_.queue_low;
   } else {  // kTailTtft: windowed p99 of observed TTFTs
@@ -1029,7 +913,7 @@ void ClusterSimulator::AutoscalePools(double now) {
 
 void ClusterSimulator::CommitScaleUp(std::size_t pool, const ReplicaSpec& spec,
                                      double now, double signal_value) {
-  const std::size_t id = AddReplicaImpl(spec);
+  const std::size_t id = AddReplica(spec);
   replicas_[id].pool = pool;
   replicas_[id].added_at = now;
   replicas_[id].scheduler->StepUntil(now);  // join the shared clock
@@ -1056,7 +940,7 @@ bool ClusterSimulator::CommitScaleDown(std::size_t pool, double now,
     return false;
   }
   const ReplicaRole role = replicas_[victim].spec.role;
-  if (!RemoveReplicaImpl(victim)) return false;
+  if (!RemoveReplica(victim)) return false;
   ++tally_.scale_downs;
   tally_.scale_events.push_back({now, false, role, victim, signal_value});
   last_scale_event_ = now;
@@ -1182,7 +1066,7 @@ void ClusterSimulator::ProcessEventsThrough(double deadline) {
     }
     const double t = std::min({t_kill, t_degrade, t_mig, t_retry, t_tick});
     if (t == kInf) return;
-    AdvanceToImpl(t);
+    AdvanceTo(t);
     // Harvesting during AdvanceTo can commit fresh transfers whose arrival
     // is at or before t; land everything due — and release due retries —
     // BEFORE a same-instant kill, so a delivery that physically preceded
@@ -1218,14 +1102,14 @@ void ClusterSimulator::ProcessEventsThrough(double deadline) {
       const DegradeEvent degrade = degrade_schedule_[degrade_idx];
       degrade_schedule_.erase(degrade_schedule_.begin() +
                               static_cast<std::ptrdiff_t>(degrade_idx));
-      DegradeReplicaImpl(degrade.replica, degrade.slowdown_factor);
+      DegradeReplica(degrade.replica, degrade.slowdown_factor);
       continue;
     }
     if (t == t_kill) {
       const KillEvent kill = kill_schedule_[kill_idx];
       kill_schedule_.erase(kill_schedule_.begin() +
                            static_cast<std::ptrdiff_t>(kill_idx));
-      KillReplicaImpl(kill.replica, kill.time);
+      KillReplica(kill.replica, kill.time);
     }
   }
 }
@@ -1237,26 +1121,11 @@ void ClusterSimulator::DrainToQuiescence() {
   // no replica has work and nothing is on the wire or waiting out a backoff.
   for (;;) {
     bool progressed = false;
-    // Replicas run to completion independently (interactions — migration
-    // landings, retries — are consumed serially below), so the parallel
-    // fan-out reaches the same post-loop state as the serial sweep.
-    busy_scratch_.clear();
     for (Replica& r : replicas_) {
       if (r.active && r.scheduler->HasWork()) {
-        busy_scratch_.push_back(&r);
+        r.scheduler->RunToCompletion();
         progressed = true;
       }
-    }
-    if (pool_ == nullptr || busy_scratch_.size() <= 1) {
-      for (Replica* r : busy_scratch_) r->scheduler->RunToCompletion();
-    } else {
-      for (std::size_t i = 1; i < busy_scratch_.size(); ++i) {
-        serving::ContinuousBatchScheduler* scheduler =
-            busy_scratch_[i]->scheduler.get();
-        pool_->Submit([scheduler] { scheduler->RunToCompletion(); });
-      }
-      busy_scratch_.front()->scheduler->RunToCompletion();
-      pool_->WaitIdle();
     }
     HarvestCompletions();
     HarvestHandoffs();
@@ -1286,7 +1155,6 @@ void ClusterSimulator::DrainToQuiescence() {
 
 FleetStats ClusterSimulator::Run(
     const std::vector<serving::TimedRequest>& trace) {
-  util::RoleGuard role(coordinator_role_);
   LIQUID_PROF_SCOPE("sim/run");
   const WallTimer run_timer;
   const auto arrival_order = [](const serving::TimedRequest& a,
@@ -1310,9 +1178,9 @@ FleetStats ClusterSimulator::Run(
 
   for (const serving::TimedRequest& request : *requests) {
     ProcessEventsThrough(request.arrival_seconds);
-    AdvanceToImpl(request.arrival_seconds);
+    AdvanceTo(request.arrival_seconds);
     MaybeAutoscale(request.arrival_seconds);
-    SubmitAndRouteImpl(request);
+    SubmitAndRoute(request);
     SampleMetrics(request.arrival_seconds);
   }
   // Kills scheduled past the last arrival still fire (the fleet keeps
@@ -1321,10 +1189,9 @@ FleetStats ClusterSimulator::Run(
   ProcessEventsThrough(kInf);
   DrainToQuiescence();
   SampleMetrics(FleetNow());
-  MergeTraceShards();
 
   FleetStats stats = tally_;
-  stats.replicas_final = ActiveReplicasImpl();
+  stats.replicas_final = ActiveReplicas();
   stats.disagg.in_migration = coordinator_.InFlight();
   stats.disagg.migration_seconds = SummarizePercentiles(migration_seconds_);
   std::vector<serving::RequestTiming> timings;
@@ -1373,7 +1240,6 @@ FleetStats ClusterSimulator::Run(
     st.engine_iterations += r.stats.iterations;
   }
   st.events_processed = st.engine_iterations + st.fleet_events;
-  st.threads = threads_;
   st.sim_seconds = FleetNow();
   st.wall_seconds = run_timer.Seconds();
   if (st.wall_seconds > 0) {

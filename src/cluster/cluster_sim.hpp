@@ -44,11 +44,6 @@
 #include "serving/scheduler.hpp"
 #include "serving/workload.hpp"
 #include "util/sliding_window.hpp"
-#include "util/thread_annotations.hpp"
-
-namespace liquid::util {
-class ThreadPool;
-}  // namespace liquid::util
 
 namespace liquid::cluster {
 
@@ -200,27 +195,6 @@ class ClusterSimulator {
   explicit ClusterSimulator(RoutePolicy policy = RoutePolicy::kLeastOutstanding,
                             AutoscaleConfig autoscale = {}, SloConfig slo = {},
                             RetryPolicy retry = {}, DisaggConfig disagg = {});
-  ~ClusterSimulator();  // out of line: ThreadPool is forward-declared
-
-  /// Opts into the parallel execution mode: replica Step/prefill-chunk work
-  /// between event-pump barriers fans out over a work-stealing pool of
-  /// `threads` workers (0 = hardware concurrency).  Everything that couples
-  /// replicas — routing, KV-migration landings, autoscale ticks, chaos
-  /// events, harvest — stays serialized on the calling thread, so the
-  /// simulated results are IDENTICAL to the single-threaded oracle: the
-  /// schedulers share no mutable state and the serial phases consume their
-  /// outputs in replica-index order either way.  `threads <= 1` (the
-  /// default) dispatches the legacy single-threaded loop byte-for-byte.
-  ///
-  /// With a trace recorder attached, parallel mode records each replica's
-  /// engine events into a private per-replica shard (worker threads never
-  /// touch the shared recorder) and folds the shards back in deterministic
-  /// time order at the end of Run() — the merged stream is identical across
-  /// thread counts >= 2 and across repeat runs, but interleaves equal-time
-  /// events differently from the threads=1 byte-golden stream.
-  void SetThreads(std::size_t threads);
-  [[nodiscard]] std::size_t threads() const { return threads_; }
-
   /// Adds a replica (usable mid-run: its clock joins the fleet clock).
   /// Returns the replica id, which is stable for the simulator's lifetime.
   /// Adding a prefill- or decode-role replica arms the router's role-aware
@@ -243,10 +217,7 @@ class ClusterSimulator {
   bool KillReplica(std::size_t id, double now);
 
   /// Queues a kill for Run() to fire when the shared clock reaches it.
-  void ScheduleKill(const KillEvent& kill) {
-    util::RoleGuard role(coordinator_role_);
-    kill_schedule_.push_back(kill);
-  }
+  void ScheduleKill(const KillEvent& kill) { kill_schedule_.push_back(kill); }
 
   /// Partial degradation (chaos): the replica slows down by `slowdown_factor`
   /// rather than dying — in-flight work survives, it just finishes late.
@@ -257,7 +228,6 @@ class ClusterSimulator {
 
   /// Queues a degradation for Run() to fire on the shared clock.
   void ScheduleDegrade(const DegradeEvent& degrade) {
-    util::RoleGuard role(coordinator_role_);
     degrade_schedule_.push_back(degrade);
   }
 
@@ -294,15 +264,10 @@ class ClusterSimulator {
   [[nodiscard]] std::size_t TotalOutstanding() const;
   /// Requests whose KV is currently on the wire between pools.
   [[nodiscard]] std::size_t InMigration() const {
-    util::RoleGuard role(coordinator_role_);
     return coordinator_.InFlight();
   }
-  [[nodiscard]] const Router& router() const {
-    util::RoleGuard role(coordinator_role_);
-    return router_;
-  }
+  [[nodiscard]] const Router& router() const { return router_; }
   [[nodiscard]] const DisaggCoordinator& coordinator() const {
-    util::RoleGuard role(coordinator_role_);
     return coordinator_;
   }
 
@@ -363,117 +328,71 @@ class ClusterSimulator {
   /// the hot path's last per-event allocation); valid until the next call.
   [[nodiscard]] const std::vector<ReplicaView>& Views(
       std::size_t prompt_tokens,
-      const serving::PrefixSignature* signature = nullptr) const
-      LIQUID_REQUIRES(coordinator_role_);
-  /// Coordinator-role bodies of the public API (the public methods are thin
-  /// RoleGuard wrappers).  Internal callers already inside a serialized
-  /// section call these directly, so the analysis never sees a re-entrant
-  /// role acquisition.
-  std::size_t AddReplicaImpl(const ReplicaSpec& spec)
-      LIQUID_REQUIRES(coordinator_role_);
-  bool RemoveReplicaImpl(std::size_t id) LIQUID_REQUIRES(coordinator_role_);
-  bool KillReplicaImpl(std::size_t id, double now)
-      LIQUID_REQUIRES(coordinator_role_);
-  bool DegradeReplicaImpl(std::size_t id, double slowdown_factor)
-      LIQUID_REQUIRES(coordinator_role_);
-  void AdvanceToImpl(double deadline) LIQUID_REQUIRES(coordinator_role_);
-  std::optional<std::size_t> SubmitAndRouteImpl(
-      const serving::TimedRequest& request) LIQUID_REQUIRES(coordinator_role_);
-  [[nodiscard]] std::size_t ActiveReplicasImpl() const
-      LIQUID_REQUIRES(coordinator_role_);
-  [[nodiscard]] std::size_t TotalOutstandingImpl() const
-      LIQUID_REQUIRES(coordinator_role_);
+      const serving::PrefixSignature* signature = nullptr) const;
   /// Shared routing path for arrivals and kill-retries: counts rejects/drops,
   /// tracks in-flight metadata, and submits to the chosen scheduler (flagged
   /// prefill-only when it lands on a prefill-role replica).
-  std::optional<std::size_t> RouteOne(const serving::TimedRequest& request)
-      LIQUID_REQUIRES(coordinator_role_);
+  std::optional<std::size_t> RouteOne(const serving::TimedRequest& request);
   /// One request lost with its host (kill) or transfer (target death):
   /// spends a retry attempt — scheduling the re-route after backoff — or
   /// abandons the request when the budget is gone.
-  void RetryLost(serving::TimedRequest retry, double now)
-      LIQUID_REQUIRES(coordinator_role_);
-  void HarvestCompletions() LIQUID_REQUIRES(coordinator_role_);
+  void RetryLost(serving::TimedRequest retry, double now);
+  void HarvestCompletions();
   /// Plans migrations for freshly harvested prefill handoffs.
-  void HarvestHandoffs() LIQUID_REQUIRES(coordinator_role_);
-  void PlanHandoff(Replica& src, const serving::PrefillHandoff& handoff)
-      LIQUID_REQUIRES(coordinator_role_);
+  void HarvestHandoffs();
+  void PlanHandoff(Replica& src, const serving::PrefillHandoff& handoff);
   /// Delivers a continuation + KV to `dst`'s scheduler; on import OOM the
   /// request is reset to original form and recomputes there (wasting its
   /// first token).
   void DeliverContinuation(Replica& dst, serving::Request continuation,
-                           const serving::KvExport& kv, double ready)
-      LIQUID_REQUIRES(coordinator_role_);
+                           const serving::KvExport& kv, double ready);
   /// Lands every due migration: AcceptMigrated on a live target, the retry
   /// path when the target died mid-transfer.
-  void LandMigrationsThrough(double deadline)
-      LIQUID_REQUIRES(coordinator_role_);
-  void ReleaseRetriesThrough(double deadline)
-      LIQUID_REQUIRES(coordinator_role_);
-  void MaybeAutoscale(double now) LIQUID_REQUIRES(coordinator_role_);
+  void LandMigrationsThrough(double deadline);
+  void ReleaseRetriesThrough(double deadline);
+  void MaybeAutoscale(double now);
   /// Role-typed pools evaluation: per-pool signals, at most one scale event
   /// per call (the shared cooldown paces the loop), SLO-driven growth
   /// outranking cost-driven shrink.
-  void AutoscalePools(double now) LIQUID_REQUIRES(coordinator_role_);
-  [[nodiscard]] PoolSignal EvalPool(std::size_t pool, double now)
-      LIQUID_REQUIRES(coordinator_role_);
+  void AutoscalePools(double now);
+  [[nodiscard]] PoolSignal EvalPool(std::size_t pool, double now);
   /// First configured pool whose role matches, else kNoPool.
-  [[nodiscard]] std::size_t PoolFor(ReplicaRole role) const
-      LIQUID_REQUIRES(coordinator_role_);
+  [[nodiscard]] std::size_t PoolFor(ReplicaRole role) const;
   /// Least-outstanding active replica of `pool` (kNoPool = whole fleet) that
   /// is safe to retire: never the last active replica of a specialized role,
   /// and replicas with KV imports in flight are passed over while a quieter
   /// victim exists (retiring them would force the coordinator to re-plan
   /// transfers RemoveReplica can otherwise leave alone).
-  [[nodiscard]] std::size_t PickScaleDownVictim(std::size_t pool) const
-      LIQUID_REQUIRES(coordinator_role_);
-  [[nodiscard]] bool LastActiveOfRole(const Replica& replica) const
-      LIQUID_REQUIRES(coordinator_role_);
+  [[nodiscard]] std::size_t PickScaleDownVictim(std::size_t pool) const;
+  [[nodiscard]] bool LastActiveOfRole(const Replica& replica) const;
   void CommitScaleUp(std::size_t pool, const ReplicaSpec& spec, double now,
-                     double signal_value) LIQUID_REQUIRES(coordinator_role_);
-  bool CommitScaleDown(std::size_t pool, double now, double signal_value)
-      LIQUID_REQUIRES(coordinator_role_);
+                     double signal_value);
+  bool CommitScaleDown(std::size_t pool, double now, double signal_value);
   /// Fleet $/1M tokens were `delta_dollars_per_hour` added to the burn rate,
   /// over the recent windowed token rate; 0 when there is no recent
   /// completion evidence (no basis to veto).
   [[nodiscard]] double PredictedDollarsPerMTok(double now,
-                                               double delta_dollars_per_hour)
-      LIQUID_REQUIRES(coordinator_role_);
+                                               double delta_dollars_per_hour);
   /// Any queued/running work, in-flight migration, or pending retry.
-  [[nodiscard]] bool FleetBusy() const LIQUID_REQUIRES(coordinator_role_);
+  [[nodiscard]] bool FleetBusy() const;
   /// The shared clock: furthest-advanced active replica (0 when none).
-  [[nodiscard]] double FleetNow() const LIQUID_REQUIRES(coordinator_role_);
+  [[nodiscard]] double FleetNow() const;
   /// Re-arms the periodic autoscale tick when new work enters an idle fleet.
-  void ArmAutoscaleTick() LIQUID_REQUIRES(coordinator_role_);
-  /// Advances every active replica's scheduler to `deadline`: the serial
-  /// loop when no pool is attached, else the parallel fan-out (idle replicas
-  /// snap their clock inline; busy ones become pool tasks bounded by a
-  /// WaitIdle barrier, with one run inline on the coordinating thread).
-  void StepReplicasTo(double deadline) LIQUID_REQUIRES(coordinator_role_);
-  /// Scheduler trace sink for a replica: the shared recorder in
-  /// single-threaded mode, the replica's private shard in parallel mode
-  /// (created on demand), nullptr when telemetry is detached.
-  [[nodiscard]] obs::TraceRecorder* ReplicaTraceSink(std::size_t id)
-      LIQUID_REQUIRES(coordinator_role_);
-  /// Folds the per-replica trace shards back into the main recorder in
-  /// deterministic time order (no-op when none exist).
-  void MergeTraceShards() LIQUID_REQUIRES(coordinator_role_);
+  void ArmAutoscaleTick();
   /// Fires kills, migration landings and backoff retries in time order up
   /// to `deadline`, advancing the fleet clock to each event.
-  void ProcessEventsThrough(double deadline)
-      LIQUID_REQUIRES(coordinator_role_);
+  void ProcessEventsThrough(double deadline);
   /// Post-arrival phase of Run(): repeat (run replicas to completion, land
   /// events) until no work, migrations or retries remain anywhere.
-  void DrainToQuiescence() LIQUID_REQUIRES(coordinator_role_);
+  void DrainToQuiescence();
 
   /// Names the replica's Perfetto process lane and wires its scheduler's
   /// lifecycle hooks (no-op when no recorder is attached).
-  void WireReplicaTelemetry(Replica& replica)
-      LIQUID_REQUIRES(coordinator_role_);
+  void WireReplicaTelemetry(Replica& replica);
   /// Registers the fleet metric series (schema fixed before first sample).
-  void RegisterMetrics() LIQUID_REQUIRES(coordinator_role_);
+  void RegisterMetrics();
   /// Snapshots every registered series into one time-series row at `now`.
-  void SampleMetrics(double now) LIQUID_REQUIRES(coordinator_role_);
+  void SampleMetrics(double now);
 
   /// Handles into the attached MetricsRegistry.  Role-indexed arrays run
   /// kUnified, kPrefill, kDecode.
@@ -495,116 +414,71 @@ class ClusterSimulator {
     std::size_t local_fallbacks = 0;
   };
 
-  /// The parallel runtime's headline contract, stated to the compiler:
-  /// everything that couples replicas — routing, migrations, autoscaling,
-  /// chaos, harvest, telemetry — runs serialized on the coordinating thread,
-  /// between the event-pump barriers that bound the per-replica fan-out.
-  /// Every member below is LIQUID_GUARDED_BY this role, every serialized
-  /// section LIQUID_REQUIRES it, and the public API asserts it via
-  /// RoleGuard — so a future change that reaches into fleet state from a
-  /// worker task fails the clang -Wthread-safety build instead of flaking a
-  /// determinism golden.  There is no runtime lock behind the role; the
-  /// worker tasks only touch their own replica's scheduler/engine (captured
-  /// by raw pointer, state disjoint by construction).  Mutable because
-  /// const accessors assert the role too.
-  mutable util::ThreadRole coordinator_role_;
-
-  Router router_ LIQUID_GUARDED_BY(coordinator_role_);
-  AutoscaleConfig autoscale_ LIQUID_GUARDED_BY(coordinator_role_);
-  RetryPolicy retry_ LIQUID_GUARDED_BY(coordinator_role_);
-  DisaggCoordinator coordinator_ LIQUID_GUARDED_BY(coordinator_role_);
-  std::vector<Replica> replicas_ LIQUID_GUARDED_BY(coordinator_role_);
+  Router router_;
+  AutoscaleConfig autoscale_;
+  RetryPolicy retry_;
+  DisaggCoordinator coordinator_;
+  std::vector<Replica> replicas_;
   /// Block-pipeline prices shared by every replica's engine, scale-ups
-  /// included, so each distinct GEMM block is simulated once per fleet.  The
-  /// cache locks itself: parallel replica steps price through it.
-  std::shared_ptr<simgpu::BlockPipelineCache> block_cache_
-      LIQUID_GUARDED_BY(coordinator_role_) =
-          std::make_shared<simgpu::BlockPipelineCache>();
+  /// included, so each distinct GEMM block is simulated once per fleet.
+  std::shared_ptr<simgpu::BlockPipelineCache> block_cache_ =
+      std::make_shared<simgpu::BlockPipelineCache>();
   /// First added spec.
-  std::optional<ReplicaSpec> autoscale_spec_
-      LIQUID_GUARDED_BY(coordinator_role_);
+  std::optional<ReplicaSpec> autoscale_spec_;
   /// Counters accumulated during the run.
-  FleetStats tally_ LIQUID_GUARDED_BY(coordinator_role_);
-  double last_scale_event_ LIQUID_GUARDED_BY(coordinator_role_) = -1e300;
+  FleetStats tally_;
+  double last_scale_event_ = -1e300;
   /// Pending, consumed by Run.
-  std::vector<KillEvent> kill_schedule_ LIQUID_GUARDED_BY(coordinator_role_);
+  std::vector<KillEvent> kill_schedule_;
   /// Pending, consumed by Run.
-  std::vector<DegradeEvent> degrade_schedule_
-      LIQUID_GUARDED_BY(coordinator_role_);
-  std::vector<PendingRetry> pending_retries_
-      LIQUID_GUARDED_BY(coordinator_role_);
+  std::vector<DegradeEvent> degrade_schedule_;
+  std::vector<PendingRetry> pending_retries_;
   /// Original routed request by id, so a kill can re-submit the original
   /// (session/tenant intact) rather than the scheduler's mutated view.
   /// Lookup/erase only — never iterated, so its unordered order never
   /// reaches stats or traces.
-  std::unordered_map<std::uint64_t, serving::TimedRequest> inflight_
-      LIQUID_GUARDED_BY(coordinator_role_);
+  std::unordered_map<std::uint64_t, serving::TimedRequest> inflight_;
   /// Requests that completed a KV migration (for the interference-free
   /// decode-TPOT percentile split).  Membership tests only — never iterated.
-  std::unordered_set<std::uint64_t> migrated_ids_
-      LIQUID_GUARDED_BY(coordinator_role_);
+  std::unordered_set<std::uint64_t> migrated_ids_;
   /// Visible stalls, sample pool.
-  std::vector<double> migration_seconds_ LIQUID_GUARDED_BY(coordinator_role_);
-  SlidingWindowStats ttft_window_ LIQUID_GUARDED_BY(coordinator_role_);
+  std::vector<double> migration_seconds_;
+  SlidingWindowStats ttft_window_;
   /// Passive fleet-wide TPOT window behind the metrics gauge; fed alongside
   /// ttft_window_ but read by nothing that steers the simulation.
-  SlidingWindowStats tpot_window_ LIQUID_GUARDED_BY(coordinator_role_);
+  SlidingWindowStats tpot_window_;
   /// Per-pool signal windows, parallel to autoscale_.pools.
-  std::vector<PoolRuntime> pool_runtime_ LIQUID_GUARDED_BY(coordinator_role_);
+  std::vector<PoolRuntime> pool_runtime_;
   /// Recent generated-token samples (finish, tokens) behind the cost-aware
   /// $/1M-token predictions.
-  SlidingWindowStats tokens_window_ LIQUID_GUARDED_BY(coordinator_role_);
+  SlidingWindowStats tokens_window_;
   /// Periodic autoscale tick state (armed only when tick_seconds > 0).
-  bool tick_armed_ LIQUID_GUARDED_BY(coordinator_role_) = false;
-  double next_autoscale_tick_ LIQUID_GUARDED_BY(coordinator_role_) = 0;
+  bool tick_armed_ = false;
+  double next_autoscale_tick_ = 0;
   /// The fleet has produced at least one completion or prefill handoff.
   /// Scale-down requires this evidence: a cold fleet with an empty queue is
   /// unprovisioned, not overprovisioned.
-  bool work_observed_ LIQUID_GUARDED_BY(coordinator_role_) = false;
+  bool work_observed_ = false;
   /// Legacy-path downscale-stabilization state (pools keep theirs in
   /// PoolRuntime); < 0 = not currently reading low.
-  double legacy_low_since_ LIQUID_GUARDED_BY(coordinator_role_) = -1;
+  double legacy_low_since_ = -1;
   /// A stabilizing shrink is waiting out its window; keeps the periodic
   /// tick armed through an otherwise idle fleet so the shrink can land.
-  bool shrink_pending_ LIQUID_GUARDED_BY(coordinator_role_) = false;
+  bool shrink_pending_ = false;
   /// Fleet-level event count for the SimThroughput meter: routing decisions,
   /// migration landings, kills, degrades, autoscale ticks.  Deterministic
   /// under a fixed seed (counts simulated work, not wall time).
-  std::uint64_t fleet_events_ LIQUID_GUARDED_BY(coordinator_role_) = 0;
-  /// Parallel execution mode (SetThreads).  threads_ <= 1 keeps pool_ null
-  /// and every code path byte-identical to the legacy single-threaded loop.
-  /// threads_ itself is unguarded set-once config: threads() reads it
-  /// without asserting the role.
-  std::size_t threads_ = 1;
-  std::unique_ptr<util::ThreadPool> pool_ LIQUID_GUARDED_BY(coordinator_role_);
-  /// Busy-replica scratch for the parallel fan-out (avoids an allocation
-  /// per event-pump barrier).
-  std::vector<Replica*> busy_scratch_ LIQUID_GUARDED_BY(coordinator_role_);
-  /// Per-replica trace shards (parallel mode only), indexed by replica id.
-  /// The unique_ptrs stay alive across runs — schedulers hold raw pointers.
-  /// Workers write a shard only through their own replica's scheduler during
-  /// the fan-out; the coordinator touches the vector (and merges) strictly
-  /// outside it.
-  std::vector<std::unique_ptr<obs::TraceRecorder>> trace_shards_
-      LIQUID_GUARDED_BY(coordinator_role_);
+  std::uint64_t fleet_events_ = 0;
   /// Views() scratch: one routing snapshot, rebuilt per decision in place.
-  mutable std::vector<ReplicaView> views_scratch_
-      LIQUID_GUARDED_BY(coordinator_role_);
+  mutable std::vector<ReplicaView> views_scratch_;
   // Telemetry (null = detached; every hook is one branch when detached).
-  // TraceRecorder/MetricsRegistry are externally synchronized (see their
-  // headers): PT_GUARDED_BY states that dereferencing them is itself a
-  // coordinator-only operation.
-  obs::TraceRecorder* trace_ LIQUID_GUARDED_BY(coordinator_role_)
-      LIQUID_PT_GUARDED_BY(coordinator_role_) = nullptr;
-  obs::MetricsRegistry* metrics_ LIQUID_GUARDED_BY(coordinator_role_)
-      LIQUID_PT_GUARDED_BY(coordinator_role_) = nullptr;
-  MetricIds metric_ids_ LIQUID_GUARDED_BY(coordinator_role_);
+  obs::TraceRecorder* trace_ = nullptr;
+  obs::MetricsRegistry* metrics_ = nullptr;
+  MetricIds metric_ids_;
   /// Owned by *metrics_.
-  obs::Histogram* ttft_hist_ LIQUID_GUARDED_BY(coordinator_role_)
-      LIQUID_PT_GUARDED_BY(coordinator_role_) = nullptr;
+  obs::Histogram* ttft_hist_ = nullptr;
   /// Owned by *metrics_.
-  obs::Histogram* tpot_hist_ LIQUID_GUARDED_BY(coordinator_role_)
-      LIQUID_PT_GUARDED_BY(coordinator_role_) = nullptr;
+  obs::Histogram* tpot_hist_ = nullptr;
 };
 
 }  // namespace liquid::cluster

@@ -102,10 +102,6 @@ struct SimThroughput {
   /// Fleet-level events: routing decisions (arrivals + retries), migration
   /// landings, kills, degrades, autoscale ticks.
   std::uint64_t fleet_events = 0;
-  /// Worker threads the run executed with (1 = the legacy serial loop).
-  /// Deterministic by construction, and the simulated results are identical
-  /// across thread counts — the parallel mode's oracle-parity contract.
-  std::size_t threads = 1;
   double sim_seconds = 0;   ///< simulated span covered by the run
   double wall_seconds = 0;  ///< host wall-clock spent inside Run()
   double events_per_sec = 0;

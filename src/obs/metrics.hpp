@@ -12,13 +12,9 @@
 // Values are doubles on the simulated clock, so with a fixed seed the
 // exported bytes are deterministic (golden-pinned alongside the trace).
 //
-// Thread-safety contract: a MetricsRegistry is EXTERNALLY SYNCHRONIZED — no
-// internal locking; all Register/Set/Add/Sample/export calls must come from
-// one thread at a time.  The cluster runtime satisfies this structurally:
-// every metrics touch happens in the coordinator's serialized sections
-// (worker tasks never see the registry), and the owning ClusterSimulator
-// pointer is LIQUID_PT_GUARDED_BY the coordinator role so the clang
-// -Wthread-safety CI build enforces it at compile time.
+// Thread-safety contract: a MetricsRegistry has no internal locking; all
+// Register/Set/Add/Sample/export calls must come from one thread at a time.
+// The cluster simulator's serial event loop is its only writer.
 
 #include <cstddef>
 #include <cstdint>

@@ -149,22 +149,9 @@ BlockPipelineResult BlockPipelineCache::Simulate(
                 word(in.compute_wgs),
                 word(in.fine_tasks),
                 word(in.stage_depth)};
-  {
-    util::MutexLock lock(mu_);
-    const auto it = entries_.find(key);
-    if (it != entries_.end()) return it->second;
-  }
-  // Simulate outside the lock; a racing miss on the same key computes the
-  // same doubles, so whichever insert lands first is as good as the other.
-  BlockPipelineResult out = SimulateBlockPipeline(in);
-  util::MutexLock lock(mu_);
-  entries_.try_emplace(key, out);
-  return out;
-}
-
-std::size_t BlockPipelineCache::size() const {
-  util::MutexLock lock(mu_);
-  return entries_.size();
+  const auto [it, inserted] = entries_.try_emplace(key);
+  if (inserted) it->second = SimulateBlockPipeline(in);
+  return it->second;
 }
 
 std::size_t BlockPipelineCache::KeyHash::operator()(const Key& key) const {

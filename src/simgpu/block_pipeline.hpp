@@ -29,7 +29,6 @@
 
 #include "simgpu/kernel_config.hpp"
 #include "simgpu/timeline.hpp"
-#include "util/thread_annotations.hpp"
 
 namespace liquid::simgpu {
 
@@ -70,30 +69,27 @@ BlockPipelineResult SimulateBlockPipeline(const BlockPipelineInput& in);
 /// mixed replicas, and a hit returns the identical doubles a miss computes.
 /// Block inputs depend on the token count only through the saturating batch
 /// tile, so a chaos fleet episode that prices thousands of GEMMs sees only
-/// about a hundred distinct inputs.  Thread-safe: parallel replicas share one
-/// cache.
+/// about a hundred distinct inputs.  Not thread-safe: one cache serves one
+/// simulation.
 class BlockPipelineCache {
  public:
   /// SimulateBlockPipeline(in), answered from the cache when an identical
   /// input was simulated before.  `record_trace` calls bypass the cache, so
   /// their interval logs are always fresh.
-  [[nodiscard]] BlockPipelineResult Simulate(const BlockPipelineInput& in)
-      LIQUID_EXCLUDES(mu_);
+  [[nodiscard]] BlockPipelineResult Simulate(const BlockPipelineInput& in);
 
   /// Distinct inputs simulated so far.
-  [[nodiscard]] std::size_t size() const LIQUID_EXCLUDES(mu_);
+  [[nodiscard]] std::size_t size() const { return entries_.size(); }
 
  private:
   using Key = std::array<std::uint64_t, 10>;
   struct KeyHash {
     std::size_t operator()(const Key& key) const;
   };
-  mutable util::Mutex mu_;
   /// Untraced results (empty logs).  Determinism audit: keyed lookup and
   /// insert only — never iterated, and a hit returns the identical doubles a
   /// miss would compute.
-  std::unordered_map<Key, BlockPipelineResult, KeyHash> entries_
-      LIQUID_GUARDED_BY(mu_);
+  std::unordered_map<Key, BlockPipelineResult, KeyHash> entries_;
 };
 
 }  // namespace liquid::simgpu

@@ -12,15 +12,15 @@
 //   --json-out PATH        write the FleetStats summary as JSON
 //   --profile-out BASE     enable the wall-clock profiler and write
 //                          BASE.txt/.csv/.folded/.speedscope.json/.gemm_ai.csv
-//   --threads N            worker threads for the cluster simulator's
-//                          parallel runtime (0 = hardware concurrency; the
-//                          default 1 keeps the byte-deterministic legacy
-//                          single-threaded loop)
 //
 // Both `--flag value` and `--flag=value` are accepted.  Unknown arguments
-// are collected into `positional` for the binary's own parsing.
+// are collected into `positional` for the binary's own parsing; once it has
+// taken what it understands, RejectUnknownFlags() fails the run on any `--`
+// argument left over, so a misspelled or retired flag (and the value after
+// it) is never misread as a positional.
 
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -38,10 +38,6 @@ struct CliFlags {
   std::string metrics_csv;
   std::string json_out;
   std::string profile_out;  ///< base path; empty = profiler stays disabled
-  /// ClusterSimulator::SetThreads value (0 = hardware concurrency).  The
-  /// default 1 preserves legacy single-threaded output byte-for-byte.
-  std::size_t threads = 1;
-  bool threads_set = false;  ///< --threads was given explicitly
   std::vector<std::string> positional;
 
   /// Any telemetry sink requested (the binary should attach a recorder).
@@ -83,15 +79,24 @@ inline CliFlags ParseCliFlags(int argc, char** argv) {
       flags.json_out = json_v;
     } else if (const char* prof_v = value("--profile-out")) {
       flags.profile_out = prof_v;
-    } else if (const char* threads_v = value("--threads")) {
-      flags.threads =
-          static_cast<std::size_t>(std::strtoull(threads_v, nullptr, 10));
-      flags.threads_set = true;
     } else {
       flags.positional.push_back(arg);
     }
   }
   return flags;
+}
+
+/// Exits with status 2, naming the argument, when `args` (what no parser
+/// consumed) still holds a `--` argument: an unknown flag, or a known one
+/// given last with no value.
+inline void RejectUnknownFlags(const std::vector<std::string>& args) {
+  for (const std::string& arg : args) {
+    if (arg.rfind("--", 0) == 0) {
+      std::fprintf(stderr, "unknown flag or missing value: %s\n",
+                   arg.c_str());
+      std::exit(2);
+    }
+  }
 }
 
 }  // namespace liquid

@@ -4,9 +4,9 @@
 //
 //   completed + dropped + rejected + lost == submitted + retried
 //
-// holds no matter what dies or gets shed.  Every lost in-flight request
-// spawns exactly one retry, so both sides stay balanced even when a retry is
-// lost again on a second kill.
+// holds no matter what dies, slows down or gets shed.  Every lost in-flight
+// request spawns exactly one retry, so both sides stay balanced even when a
+// retry is lost again on a second kill.
 
 #include <gtest/gtest.h>
 
@@ -140,6 +140,38 @@ TEST(ChaosPropertyTest, ConservationHoldsAcrossRandomChaos) {
   EXPECT_GT(scenarios_with_rejections, 5u);
   std::printf("chaos: %zu/60 scenarios lost in-flight work, %zu/60 shed load\n",
               scenarios_with_losses, scenarios_with_rejections);
+}
+
+TEST(ChaosPropertyTest, ConservationHoldsWithDegradationsAndKills) {
+  // Partial degradations on top of the kills: a slowed replica keeps its
+  // in-flight work, so the law must hold exactly as under kills alone.  The
+  // degrade draws come from their own stream so the 60-seed scenarios above
+  // stay as they are.
+  std::size_t scenarios_with_degrades = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    const ChaosScenario s = RandomScenario(seed);
+    Rng rng(seed ^ 0xDE6EADull);
+    const double span =
+        s.trace.empty() ? 1.0 : s.trace.back().arrival_seconds + 1.0;
+    ClusterSimulator sim(s.policy, s.autoscale, s.slo);
+    for (std::size_t i = 0; i < s.replicas; ++i) {
+      sim.AddReplica(ChaosReplica(s.pool_blocks));
+    }
+    for (const KillEvent& kill : s.kills) sim.ScheduleKill(kill);
+    const std::size_t degrades = 1 + rng.Below(2);  // 1..2 brown-outs
+    for (std::size_t d = 0; d < degrades; ++d) {
+      sim.ScheduleDegrade({rng.Uniform(0.05, span), rng.Below(s.replicas),
+                           rng.Uniform(1.5, 4.0)});
+    }
+    const FleetStats stats = sim.Run(s.trace);
+
+    EXPECT_EQ(stats.submitted, s.trace.size()) << "seed " << seed;
+    ExpectConservation(stats, seed);
+    if (stats.degraded_replicas > 0) ++scenarios_with_degrades;
+  }
+  // Most brown-outs land on a live replica; if none did, the test would
+  // only be re-checking the kill-only law.
+  EXPECT_GT(scenarios_with_degrades, 6u);
 }
 
 TEST(ChaosPropertyTest, KillingWholeFleetDropsBacklogButConserves) {

@@ -167,6 +167,43 @@ TEST(DisaggChaosTest, ConservationHoldsAcrossRandomDisaggChaos) {
       scenarios_with_losses, total_target_deaths, total_exhausted);
 }
 
+TEST(DisaggChaosTest, DecodeKillKeepsMigratingToSurvivors) {
+  // 2P:3D with one decode replica killed mid-trace: the surviving decode
+  // replicas keep receiving KV migrations, and nothing is lost for good.
+  serving::TraceConfig config;
+  config.arrival_rate_per_s = 90.0;
+  config.count = 150;
+  config.prompt_min = 256;
+  config.prompt_max = 2048;
+  config.output_min = 32;
+  config.output_max = 128;
+  config.sessions = 16;
+  const auto trace = serving::GenerateTrace(config, 7);
+
+  DisaggConfig disagg;
+  disagg.interconnect.bandwidth_gb_per_s = 200.0;
+  disagg.max_migration_seconds = 0.5;
+  ClusterSimulator sim(RoutePolicy::kLeastOutstanding, {}, {}, {}, disagg);
+  for (int i = 0; i < 2; ++i) {
+    sim.AddReplica(ChaosReplica(ReplicaRole::kPrefill, 2048));
+  }
+  for (int i = 0; i < 3; ++i) {
+    sim.AddReplica(ChaosReplica(ReplicaRole::kDecode, 2048));
+  }
+  sim.ScheduleKill({trace[trace.size() / 2].arrival_seconds, 3});
+  const FleetStats stats = sim.Run(trace);
+
+  EXPECT_EQ(stats.killed_replicas, 1u);
+  EXPECT_TRUE(stats.replicas[3].killed);
+  EXPECT_GT(stats.disagg.migrated_requests, 0u);
+  EXPECT_EQ(stats.completed + stats.dropped + stats.rejected_requests +
+                stats.lost_requests,
+            stats.submitted + stats.retried_requests);
+  EXPECT_EQ(stats.lost_requests,
+            stats.retried_requests + stats.retries_exhausted);
+  EXPECT_EQ(stats.disagg.in_migration, 0u);
+}
+
 TEST(DisaggChaosTest, DisaggDeterminismSameSeedSameStats) {
   const auto run = [] {
     const Scenario s = RandomScenario(17);

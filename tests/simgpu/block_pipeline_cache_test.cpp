@@ -9,7 +9,6 @@
 #include <cmath>
 #include <cstddef>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "simgpu/gemm_sim.hpp"
@@ -247,35 +246,6 @@ TEST(BlockPipelineCacheTest, TracedGemmKeepsItsBlockLogs) {
   ExpectSameLog(got.block.load_log, want.block.load_log, "load");
   ExpectSameLog(got.block.dequant_log, want.block.dequant_log, "dequant");
   ExpectSameLog(got.block.mma_log, want.block.mma_log, "mma");
-}
-
-TEST(BlockPipelineCacheTest, ConcurrentCallersSeeUncachedResults) {
-  // Replicas stepped in parallel share one cache; run this under
-  // -DLIQUID_SANITIZE=thread to check the locking.
-  const HardwareSpec hw = HardwareSpec::H800();
-  const KernelConfig cfg = KernelConfig::For(KernelKind::kLiquidW4A8);
-  std::vector<double> want;
-  for (std::size_t m = 1; m <= 48; ++m) {
-    want.push_back(SimulateGemm(hw, cfg, GemmShape{m, 4096, 4096}).seconds);
-  }
-  BlockPipelineCache cache;
-  constexpr int kThreads = 4;
-  std::vector<std::vector<double>> got(kThreads);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      GemmSimOptions options;
-      options.block_cache = &cache;
-      for (std::size_t m = 1; m <= want.size(); ++m) {
-        got[static_cast<std::size_t>(t)].push_back(
-            SimulateGemm(hw, cfg, GemmShape{m, 4096, 4096}, options).seconds);
-      }
-    });
-  }
-  for (std::thread& th : threads) th.join();
-  for (int t = 0; t < kThreads; ++t) {
-    EXPECT_EQ(got[static_cast<std::size_t>(t)], want) << "thread " << t;
-  }
 }
 
 }  // namespace
