@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <vector>
 
@@ -142,36 +143,64 @@ TEST(ChaosPropertyTest, ConservationHoldsAcrossRandomChaos) {
               scenarios_with_losses, scenarios_with_rejections);
 }
 
+/// RandomScenario(seed) plus 1..2 partial degradations.  The degrade draws
+/// come from their own stream so the kill-only scenarios stay as they are.
+FleetStats RunWithDegradations(std::uint64_t seed) {
+  const ChaosScenario s = RandomScenario(seed);
+  Rng rng(seed ^ 0xDE6EADull);
+  const double span =
+      s.trace.empty() ? 1.0 : s.trace.back().arrival_seconds + 1.0;
+  ClusterSimulator sim(s.policy, s.autoscale, s.slo);
+  for (std::size_t i = 0; i < s.replicas; ++i) {
+    sim.AddReplica(ChaosReplica(s.pool_blocks));
+  }
+  for (const KillEvent& kill : s.kills) sim.ScheduleKill(kill);
+  const std::size_t degrades = 1 + rng.Below(2);  // 1..2 brown-outs
+  for (std::size_t d = 0; d < degrades; ++d) {
+    sim.ScheduleDegrade({rng.Uniform(0.05, span), rng.Below(s.replicas),
+                         rng.Uniform(1.5, 4.0)});
+  }
+  return sim.Run(s.trace);
+}
+
 TEST(ChaosPropertyTest, ConservationHoldsWithDegradationsAndKills) {
   // Partial degradations on top of the kills: a slowed replica keeps its
-  // in-flight work, so the law must hold exactly as under kills alone.  The
-  // degrade draws come from their own stream so the 60-seed scenarios above
-  // stay as they are.
+  // in-flight work, so the law must hold exactly as under kills alone.
   std::size_t scenarios_with_degrades = 0;
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
-    const ChaosScenario s = RandomScenario(seed);
-    Rng rng(seed ^ 0xDE6EADull);
-    const double span =
-        s.trace.empty() ? 1.0 : s.trace.back().arrival_seconds + 1.0;
-    ClusterSimulator sim(s.policy, s.autoscale, s.slo);
-    for (std::size_t i = 0; i < s.replicas; ++i) {
-      sim.AddReplica(ChaosReplica(s.pool_blocks));
-    }
-    for (const KillEvent& kill : s.kills) sim.ScheduleKill(kill);
-    const std::size_t degrades = 1 + rng.Below(2);  // 1..2 brown-outs
-    for (std::size_t d = 0; d < degrades; ++d) {
-      sim.ScheduleDegrade({rng.Uniform(0.05, span), rng.Below(s.replicas),
-                           rng.Uniform(1.5, 4.0)});
-    }
-    const FleetStats stats = sim.Run(s.trace);
-
-    EXPECT_EQ(stats.submitted, s.trace.size()) << "seed " << seed;
+    const FleetStats stats = RunWithDegradations(seed);
+    EXPECT_EQ(stats.submitted, RandomScenario(seed).trace.size())
+        << "seed " << seed;
     ExpectConservation(stats, seed);
     if (stats.degraded_replicas > 0) ++scenarios_with_degrades;
   }
   // Most brown-outs land on a live replica; if none did, the test would
   // only be re-checking the kill-only law.
   EXPECT_GT(scenarios_with_degrades, 6u);
+}
+
+/// Zeroes the host-wall-clock SimThroughput fields, the only part of
+/// FleetStats that may differ between two runs of one scenario.
+FleetStats WithoutWallClock(FleetStats stats) {
+  stats.sim_throughput.wall_seconds = 0;
+  stats.sim_throughput.events_per_sec = 0;
+  stats.sim_throughput.sim_seconds_per_wall_second = 0;
+  stats.sim_throughput.wall_seconds_per_sim_hour = 0;
+  return stats;
+}
+
+TEST(ChaosPropertyTest, RandomChaosReplaysBitIdentical) {
+  // The event loop is the only source of ordering: kills, degradations,
+  // autoscale ticks and SLO sheds replay to the identical summary (every
+  // counter, percentile and per-replica row) on a fresh simulator.
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    const FleetStats first = RunWithDegradations(seed);
+    const FleetStats again = RunWithDegradations(seed);
+    EXPECT_GT(first.sim_throughput.events_processed, 0u) << "seed " << seed;
+    EXPECT_EQ(FleetStatsToJson(WithoutWallClock(first)),
+              FleetStatsToJson(WithoutWallClock(again)))
+        << "seed " << seed;
+  }
 }
 
 TEST(ChaosPropertyTest, KillingWholeFleetDropsBacklogButConserves) {

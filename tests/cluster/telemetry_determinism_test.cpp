@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -110,6 +111,98 @@ FleetStats WithoutWallClock(FleetStats stats) {
   return stats;
 }
 
+/// A unified episode on the other half of the event surface: SLO shedding,
+/// queue-depth autoscaling, two partial degradations and a mid-run kill.
+FleetStats RunShedAndDegradeEpisode(obs::TraceRecorder* recorder,
+                                    obs::MetricsRegistry* metrics) {
+  AutoscaleConfig autoscale;
+  autoscale.enabled = true;
+  autoscale.signal = AutoscaleSignal::kQueueDepth;
+  autoscale.queue_high = 6.0;
+  autoscale.queue_low = 0.5;
+  autoscale.window_seconds = 4.0;
+  autoscale.max_replicas = 5;
+  autoscale.cooldown_seconds = 0.5;
+  SloConfig slo;
+  slo.ttft_budget = 0.5;
+  slo.reject_above = 1.0;
+
+  ClusterSimulator sim(RoutePolicy::kLeastOutstanding, autoscale, slo);
+  for (int i = 0; i < 3; ++i) {
+    ReplicaSpec spec = CanonicalReplica(ReplicaRole::kUnified);
+    spec.kv_pool_blocks = 512;
+    sim.AddReplica(spec);
+  }
+
+  serving::TraceConfig config;
+  config.arrival_rate_per_s = 200.0;
+  config.count = 400;
+  config.prompt_min = 256;
+  config.prompt_max = 2048;
+  config.output_min = 64;
+  config.output_max = 256;
+  config.sessions = 12;
+  const std::vector<serving::TimedRequest> trace =
+      serving::GenerateTrace(config, /*seed=*/919);
+
+  sim.ScheduleDegrade({trace[trace.size() / 4].arrival_seconds, 0, 3.0});
+  sim.ScheduleKill({trace[trace.size() / 2].arrival_seconds, 1});
+  sim.ScheduleDegrade({trace[3 * trace.size() / 4].arrival_seconds, 2, 2.0});
+  sim.AttachTelemetry(recorder, metrics);
+  return sim.Run(trace);
+}
+
+std::size_t Count(const obs::TraceRecorder& recorder,
+                  obs::TraceEventType type) {
+  std::size_t n = 0;
+  for (const obs::TraceEvent& e : recorder.events()) n += e.type == type;
+  return n;
+}
+
+/// Replica and fleet events reach the recorder one for one with the
+/// outcomes the summary counts: nothing is lost or recorded twice on the
+/// way from a replica's scheduler to the fleet trace.
+void ExpectCountsMatchTheSummary(const obs::TraceRecorder& recorder,
+                                 const FleetStats& stats) {
+  using obs::TraceEventType;
+  EXPECT_EQ(Count(recorder, TraceEventType::kComplete), stats.completed);
+  EXPECT_EQ(Count(recorder, TraceEventType::kKill), stats.killed_replicas);
+  EXPECT_EQ(Count(recorder, TraceEventType::kReject),
+            stats.rejected_requests);
+  EXPECT_EQ(Count(recorder, TraceEventType::kScaleUp), stats.scale_ups);
+  EXPECT_EQ(Count(recorder, TraceEventType::kScaleDown), stats.scale_downs);
+  EXPECT_EQ(Count(recorder, TraceEventType::kArrival),
+            stats.submitted + stats.retried_requests);
+  // A second brown-out on one replica is a second event but not a second
+  // degraded replica.
+  EXPECT_GE(Count(recorder, TraceEventType::kDegrade),
+            stats.degraded_replicas);
+}
+
+/// Each replica's engine runs one step at a time, so its engine-lane spans
+/// arrive in start order and never overlap.
+void ExpectEngineSpansOrderedAndDisjoint(const obs::TraceRecorder& recorder) {
+  std::map<std::int32_t, double> lane_end;  // pid -> end of its last span
+  std::size_t spans = 0;
+  for (const obs::TraceEvent& e : recorder.events()) {
+    if (e.phase != obs::TracePhase::kSpan || e.pid == obs::kFleetPid ||
+        e.tid != obs::kTidEngine) {
+      continue;
+    }
+    ++spans;
+    EXPECT_GE(e.dur, 0.0);
+    const auto it = lane_end.find(e.pid);
+    if (it != lane_end.end()) {
+      EXPECT_GE(e.t, it->second)
+          << obs::ToString(e.type) << " on pid " << e.pid << " starts at "
+          << e.t << " before the previous span ends";
+    }
+    lane_end[e.pid] = e.t + e.dur;
+  }
+  EXPECT_GT(spans, 0u);
+  EXPECT_GT(lane_end.size(), 1u);
+}
+
 TEST(TelemetryDeterminismTest, AttachingTelemetryDoesNotPerturbTheRun) {
   const FleetStats untraced = RunCanonicalEpisode(nullptr, nullptr);
   obs::TraceRecorder recorder;
@@ -166,6 +259,59 @@ TEST(TelemetryDeterminismTest, CanonicalEpisodeGoldenHashes) {
   EXPECT_EQ(Fnv1a(chrome), 17777947067110539556ull);
   EXPECT_EQ(Fnv1a(trace_jsonl), 1129426537860808181ull);
   EXPECT_EQ(Fnv1a(metrics_jsonl), 7926352182877922469ull);
+}
+
+TEST(TelemetryDeterminismTest, ShedAndDegradeEpisodeIsNotPerturbed) {
+  const FleetStats untraced = RunShedAndDegradeEpisode(nullptr, nullptr);
+  obs::TraceRecorder recorder;
+  obs::MetricsRegistry metrics;
+  const FleetStats traced = RunShedAndDegradeEpisode(&recorder, &metrics);
+  // The episode reached the paths the canonical one does not.
+  EXPECT_GT(traced.rejected_requests, 0u);
+  EXPECT_EQ(traced.degraded_replicas, 2u);
+  EXPECT_EQ(traced.killed_replicas, 1u);
+  EXPECT_EQ(FleetStatsToJson(WithoutWallClock(untraced)),
+            FleetStatsToJson(WithoutWallClock(traced)));
+  EXPECT_FALSE(recorder.empty());
+  EXPECT_GT(metrics.rows(), 0u);
+}
+
+TEST(TelemetryDeterminismTest, ShedAndDegradeEpisodeReplaysByteIdentical) {
+  obs::TraceRecorder rec_a, rec_b;
+  obs::MetricsRegistry met_a, met_b;
+  RunShedAndDegradeEpisode(&rec_a, &met_a);
+  RunShedAndDegradeEpisode(&rec_b, &met_b);
+  const std::string chrome = rec_a.ToChromeTraceJson();
+  EXPECT_TRUE(JsonSyntaxValid(chrome));
+  EXPECT_NE(chrome.find("\"name\":\"degrade\""), std::string::npos);
+  EXPECT_NE(chrome.find("\"name\":\"reject\""), std::string::npos);
+  EXPECT_EQ(chrome, rec_b.ToChromeTraceJson());
+  EXPECT_EQ(rec_a.ToJsonl(), rec_b.ToJsonl());
+  EXPECT_EQ(met_a.ToJsonl(), met_b.ToJsonl());
+}
+
+TEST(TelemetryDeterminismTest, CanonicalTraceCountsMatchTheSummary) {
+  obs::TraceRecorder recorder;
+  const FleetStats stats = RunCanonicalEpisode(&recorder, nullptr);
+  ExpectCountsMatchTheSummary(recorder, stats);
+  // The disaggregated fleet's KV migrations are in the counted stream.
+  EXPECT_GT(Count(recorder, obs::TraceEventType::kMigrationLand), 0u);
+}
+
+TEST(TelemetryDeterminismTest, ShedAndDegradeTraceCountsMatchTheSummary) {
+  obs::TraceRecorder recorder;
+  const FleetStats stats = RunShedAndDegradeEpisode(&recorder, nullptr);
+  ExpectCountsMatchTheSummary(recorder, stats);
+  EXPECT_EQ(Count(recorder, obs::TraceEventType::kDegrade), 2u);
+}
+
+TEST(TelemetryDeterminismTest, ReplicaEngineSpansAreOrderedAndDisjoint) {
+  obs::TraceRecorder canonical;
+  RunCanonicalEpisode(&canonical, nullptr);
+  ExpectEngineSpansOrderedAndDisjoint(canonical);
+  obs::TraceRecorder shed;
+  RunShedAndDegradeEpisode(&shed, nullptr);
+  ExpectEngineSpansOrderedAndDisjoint(shed);
 }
 
 }  // namespace
