@@ -113,16 +113,20 @@ int main(int argc, char** argv) {
                      "rejected", "lost", "wasted tok", "$/1Mtok"});
   AutoscaleConfig queue;
   queue.enabled = true;
-  queue.signal = AutoscaleSignal::kQueueDepth;
-  queue.queue_high = 6.0;
-  queue.queue_low = 0.25;
-  queue.max_replicas = 6;
   queue.cooldown_seconds = 0.5;
+  AutoscalePool fleet;
+  fleet.spec = Replica();
+  fleet.signal = AutoscaleSignal::kQueueDepth;
+  fleet.high = 6.0;
+  fleet.low = 0.25;
+  fleet.max_replicas = 6;
+  queue.pools = {fleet};
   AutoscaleConfig tail = queue;
-  tail.signal = AutoscaleSignal::kTailTtft;
-  tail.ttft_p99_high = 1.0;
-  tail.ttft_p99_low = 0.02;
-  tail.window_seconds = 5.0;
+  fleet.signal = AutoscaleSignal::kTailTtft;
+  fleet.high = 1.0;
+  fleet.low = 0.02;
+  fleet.window_seconds = 5.0;
+  tail.pools = {fleet};
   AddChaosRow(signals, "none", open);
   const FleetStats by_queue = RunChaos(trace, SloConfig{}, queue);
   AddChaosRow(signals, "queue depth", by_queue);

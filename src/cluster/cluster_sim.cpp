@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "obs/prof/wall_profiler.hpp"
 #include "util/wall_timer.hpp"
@@ -20,8 +21,8 @@ ClusterSimulator::ClusterSimulator(RoutePolicy policy,
       autoscale_(autoscale),
       retry_(retry),
       coordinator_(disagg),
-      ttft_window_(autoscale.window_seconds),
-      tpot_window_(autoscale.window_seconds),
+      ttft_window_(autoscale.cost_window_seconds),
+      tpot_window_(autoscale.cost_window_seconds),
       tokens_window_(autoscale.cost_window_seconds) {
   pool_runtime_.reserve(autoscale_.pools.size());
   for (const AutoscalePool& pool : autoscale_.pools) {
@@ -48,7 +49,6 @@ std::size_t ClusterSimulator::AddReplica(const ReplicaSpec& spec) {
       spec.hw, spec.preset, spec.model, spec.options, block_cache_);
   r.scheduler = std::make_unique<serving::ContinuousBatchScheduler>(
       *r.engine, spec.kv_pool_blocks, spec.block_tokens, spec.max_batch);
-  if (!autoscale_spec_) autoscale_spec_ = spec;
   // A specialized replica arms role-aware routing — but only when the
   // interconnect can actually move KV; with an unusable link the fleet
   // serves unified no matter what the specs say (graceful degradation).
@@ -371,7 +371,9 @@ void ClusterSimulator::RetryLost(serving::TimedRequest retry, double now) {
                       obs::kFleetPid, obs::kTidChaos, retry.id,
                       static_cast<double>(retry.attempt), now + delay);
     }
-    pending_retries_.push_back({now + delay, retry});
+    pending_retries_.push_back({now + delay, std::move(retry)});
+    std::push_heap(pending_retries_.begin(), pending_retries_.end(),
+                   ReleasesAfter);
     ArmAutoscaleTick();  // the release is future work the tick must outlive
   } else {
     RouteOne(retry);
@@ -558,23 +560,18 @@ void ClusterSimulator::DeliverContinuation(Replica& dst,
   dst.scheduler->Submit(fresh);
 }
 
+double ClusterSimulator::NextRetryDue() const {
+  return pending_retries_.empty() ? kInf : pending_retries_.front().due;
+}
+
 void ClusterSimulator::ReleaseRetriesThrough(double deadline) {
   LIQUID_PROF_SCOPE("sim/events/retry_release");
-  for (;;) {
-    std::size_t next = pending_retries_.size();
-    for (std::size_t i = 0; i < pending_retries_.size(); ++i) {
-      if (pending_retries_[i].due > deadline) continue;
-      if (next == pending_retries_.size() ||
-          pending_retries_[i].due < pending_retries_[next].due ||
-          (pending_retries_[i].due == pending_retries_[next].due &&
-           pending_retries_[i].request.id < pending_retries_[next].request.id)) {
-        next = i;
-      }
-    }
-    if (next == pending_retries_.size()) return;
-    const PendingRetry retry = pending_retries_[next];
-    pending_retries_.erase(pending_retries_.begin() +
-                           static_cast<std::ptrdiff_t>(next));
+  while (!pending_retries_.empty() &&
+         pending_retries_.front().due <= deadline) {
+    std::pop_heap(pending_retries_.begin(), pending_retries_.end(),
+                  ReleasesAfter);
+    const PendingRetry retry = std::move(pending_retries_.back());
+    pending_retries_.pop_back();
     RouteOne(retry.request);
   }
 }
@@ -714,67 +711,6 @@ std::size_t ClusterSimulator::TotalOutstanding() const {
   return n;
 }
 
-void ClusterSimulator::MaybeAutoscale(double now) {
-  if (!autoscale_.enabled) return;
-  LIQUID_PROF_SCOPE("sim/autoscale");
-  // The cooldown gate returns ABOVE the shrink_pending_ reset on purpose: a
-  // shrink waiting out its stabilization window stays pending (keeping the
-  // tick armed) through the cooldown.  Every evaluation that actually runs
-  // starts from false, so an early abstention (under-filled window, empty
-  // fleet) cannot leave a stale pending flag wedging the tick loop.
-  if (now - last_scale_event_ < autoscale_.cooldown_seconds) return;
-  shrink_pending_ = false;
-  if (!autoscale_.pools.empty()) {
-    AutoscalePools(now);
-    return;
-  }
-  if (!autoscale_spec_) return;
-  const std::size_t active = ActiveReplicas();
-  if (active == 0) return;
-
-  bool scale_up = false, scale_down = false;
-  double value = 0;
-  if (autoscale_.signal == AutoscaleSignal::kQueueDepth) {
-    // Mean queue per unit of EFFECTIVE capacity: a replica degraded by
-    // factor k only counts as 1/k of a replica, so brown-outs raise the
-    // signal instead of hiding overload behind a full-strength denominator.
-    double capacity = 0;
-    for (const Replica& r : replicas_) {
-      if (r.active) capacity += 1.0 / r.scheduler->slowdown();
-    }
-    value = static_cast<double>(TotalOutstanding()) / capacity;
-    scale_up = value > autoscale_.queue_high;
-    scale_down = value < autoscale_.queue_low;
-  } else {  // kTailTtft: windowed p99 of observed TTFTs
-    if (ttft_window_.Count(now) < autoscale_.min_window_samples) {
-      // Abstention is not a low reading: a drained window must not let a
-      // later low sample bridge the gap and count as "continuously low"
-      // (the pools path resets the same way via s.down = false).
-      legacy_low_since_ = -1;
-      return;
-    }
-    value = ttft_window_.Percentile(now, 99);
-    scale_up = value > autoscale_.ttft_p99_high;
-    scale_down = value < autoscale_.ttft_p99_low;
-  }
-
-  if (!scale_down) {
-    legacy_low_since_ = -1;
-  } else if (legacy_low_since_ < 0) {
-    legacy_low_since_ = now;
-  }
-  const bool stabilized =
-      scale_down && now - legacy_low_since_ >= autoscale_.shrink_stable_seconds;
-  shrink_pending_ = scale_down && !stabilized && work_observed_ &&
-                    active > autoscale_.min_replicas;
-  if (scale_up && active < autoscale_.max_replicas) {
-    CommitScaleUp(kNoPool, *autoscale_spec_, now, value);
-  } else if (stabilized && work_observed_ &&
-             active > autoscale_.min_replicas) {
-    if (CommitScaleDown(kNoPool, now, value)) legacy_low_since_ = -1;
-  }
-}
-
 ClusterSimulator::PoolSignal ClusterSimulator::EvalPool(std::size_t pool,
                                                         double now) {
   const AutoscalePool& config = autoscale_.pools[pool];
@@ -824,7 +760,16 @@ ClusterSimulator::PoolSignal ClusterSimulator::EvalPool(std::size_t pool,
   return s;
 }
 
-void ClusterSimulator::AutoscalePools(double now) {
+void ClusterSimulator::MaybeAutoscale(double now) {
+  if (!autoscale_.enabled) return;
+  LIQUID_PROF_SCOPE("sim/autoscale");
+  // The cooldown gate returns ABOVE the shrink_pending_ reset on purpose: a
+  // shrink waiting out its stabilization window stays pending (keeping the
+  // tick armed) through the cooldown.  Every evaluation that actually runs
+  // starts from false, so a pool whose windowed signal abstains (under-filled
+  // window) cannot leave a stale pending flag wedging the tick loop.
+  if (now - last_scale_event_ < autoscale_.cooldown_seconds) return;
+  shrink_pending_ = false;
   // At most one scale event per evaluation (the shared cooldown paces the
   // loop).  Growth outranks shrink within an evaluation: the most
   // overloaded pool grows first, and with cost_aware the most expensive
@@ -842,7 +787,6 @@ void ClusterSimulator::AutoscalePools(double now) {
   double up_severity = 0, up_value = 0;
   bool up_forced = false;
   std::vector<ShrinkCandidate> shrinkable;
-  shrink_pending_ = false;
   for (std::size_t i = 0; i < autoscale_.pools.size(); ++i) {
     const AutoscalePool& pool = autoscale_.pools[i];
     const PoolSignal s = EvalPool(i, now);
@@ -923,8 +867,7 @@ void ClusterSimulator::CommitScaleUp(std::size_t pool, const ReplicaSpec& spec,
   if (trace_ != nullptr) {
     trace_->Instant(obs::TraceEventType::kScaleUp, now, obs::kFleetPid,
                     obs::kTidAutoscaler, id, static_cast<double>(id),
-                    pool == kNoPool ? -1.0 : static_cast<double>(pool),
-                    signal_value);
+                    static_cast<double>(pool), signal_value);
   }
 }
 
@@ -947,8 +890,7 @@ bool ClusterSimulator::CommitScaleDown(std::size_t pool, double now,
   if (trace_ != nullptr) {
     trace_->Instant(obs::TraceEventType::kScaleDown, now, obs::kFleetPid,
                     obs::kTidAutoscaler, victim, static_cast<double>(victim),
-                    pool == kNoPool ? -1.0 : static_cast<double>(pool),
-                    signal_value);
+                    static_cast<double>(pool), signal_value);
   }
   return true;
 }
@@ -957,8 +899,7 @@ std::size_t ClusterSimulator::PickScaleDownVictim(std::size_t pool) const {
   std::size_t best = replicas_.size();
   bool best_inbound = false;
   for (const Replica& r : replicas_) {
-    if (!r.active) continue;
-    if (pool != kNoPool && r.pool != pool) continue;
+    if (!r.active || r.pool != pool) continue;
     // Never retire the last active replica of a specialized role: routing
     // would wedge into unified fallback (prompts with no prefill home, or
     // migrations with no decode target) until something scales back up.
@@ -1052,10 +993,8 @@ void ClusterSimulator::ProcessEventsThrough(double deadline) {
     }
     double t_mig = coordinator_.NextArrival().value_or(kInf);
     if (t_mig > deadline) t_mig = kInf;
-    double t_retry = kInf;
-    for (const PendingRetry& p : pending_retries_) {
-      if (p.due <= deadline) t_retry = std::min(t_retry, p.due);
-    }
+    double t_retry = NextRetryDue();
+    if (t_retry > deadline) t_retry = kInf;
     // The periodic autoscale tick rides the same calendar, so the
     // autoscaler keeps evaluating between arrivals AND through the
     // post-arrival drain (ProcessEventsThrough(kInf) before quiescence) —
@@ -1131,10 +1070,7 @@ void ClusterSimulator::DrainToQuiescence() {
     HarvestHandoffs();
     for (;;) {
       const double t_mig = coordinator_.NextArrival().value_or(kInf);
-      double t_retry = kInf;
-      for (const PendingRetry& p : pending_retries_) {
-        t_retry = std::min(t_retry, p.due);
-      }
+      const double t_retry = NextRetryDue();
       if (t_mig == kInf && t_retry == kInf) break;
       progressed = true;
       if (t_mig <= t_retry) {

@@ -4,11 +4,11 @@
 // own paged-KV pool, optionally heterogeneous (A100 next to the paper's
 // target GPU, different presets/models) — advance on a shared simulated
 // clock while a Router places Poisson-trace arrivals.  Replicas can be added
-// or removed mid-run (an autoscaling hook does both automatically — either a
-// legacy fleet-wide signal, or role-typed pools with per-role signals, a
-// cost-aware $/1M-token shrink objective, and a periodic event-pump tick
-// that keeps evaluating through the post-arrival drain); removing a replica
-// drains its unfinished requests and re-routes them.  Replicas can also be KILLED —
+// or removed mid-run (an autoscaling hook does both automatically: role-typed
+// pools with per-role signals, a cost-aware $/1M-token shrink objective, and
+// a periodic event-pump tick that keeps evaluating through the post-arrival
+// drain); removing a replica drains its unfinished requests and re-routes
+// them.  Replicas can also be KILLED —
 // abrupt failure, no drain: in-flight work is lost and re-submitted from
 // scratch (under a RetryPolicy budget with exponential backoff), and SLO
 // admission control at the router sheds requests whose predicted TTFT busts
@@ -100,64 +100,41 @@ struct AutoscalePool {
   std::size_t min_window_samples = 8;
 };
 
-/// Autoscaler: when the chosen signal crosses its high threshold, a replica
-/// (cloned from the first spec) is added; below the low threshold the
-/// least-loaded replica is drained and removed.
-///
-/// Two generations share this config.  The legacy single-pool fields below
-/// govern the whole fleet with one signal and clone the first added spec;
-/// with tick_seconds = 0 and defaults for the new knobs they reproduce the
-/// pre-pool golden scale sequences on the scenarios the goldens pin
-/// (undegraded, non-disagg fleets) — note the legacy path DID absorb this
-/// PR's bugfixes: the capacity-weighted kQueueDepth denominator, the
-/// work-observed + stabilization shrink gates, and the role-guarded
-/// migration-aware victim scan all apply to it too.  Populating `pools`
-/// switches to role-typed pools: per-pool signals and bounds, scale-up
-/// cloning the hot pool's spec, and (with `cost_aware`) a $/1M-token
-/// objective choosing which pool shrinks.  One cooldown paces the whole
-/// autoscaler either way, and scale-down additionally requires the fleet to
-/// have observed at least one completion or handoff (an empty queue on a
-/// cold fleet is absence of data, not idleness).
+/// Autoscaler: role-typed pools, each with its own signal and bounds.  When a
+/// pool's signal crosses its high threshold, a replica cloned from the pool's
+/// spec joins it; below the low threshold the pool's least-loaded replica is
+/// drained and removed.  A fleet-wide autoscaler over a unified fleet is one
+/// kUnified pool.  One cooldown paces every pool, and scale-down additionally
+/// requires the fleet to have observed at least one completion or handoff
+/// (an empty queue on a cold fleet is absence of data, not idleness).  With
+/// no pools, `enabled` scales nothing.
 struct AutoscaleConfig {
   bool enabled = false;
-  AutoscaleSignal signal = AutoscaleSignal::kQueueDepth;
-  double queue_high = 8.0;
-  double queue_low = 0.5;
-  std::size_t min_replicas = 1;
-  std::size_t max_replicas = 16;
   double cooldown_seconds = 2.0;  ///< minimum time between scale events
-
-  // kTailTtft knobs: windowed p99 of observed TTFTs, in seconds.  The signal
-  // abstains (no scaling either way) until the window holds enough samples.
-  double ttft_p99_high = 2.0;
-  double ttft_p99_low = 0.25;
-  double window_seconds = 10.0;
-  std::size_t min_window_samples = 8;
-
-  /// Role-typed pools (empty = legacy single-pool behavior above).
   std::vector<AutoscalePool> pools;
 
-  /// Event-pump evaluation period.  0 preserves the legacy arrival-driven
-  /// autoscaler (evaluated only when a request arrives — and therefore blind
-  /// to the post-burst drain tail).  > 0 arms a periodic tick in the event
-  /// pump: the autoscaler also runs between arrivals and through the drain
-  /// to quiescence, so an idle fleet scales back to its minimum instead of
-  /// burning $/hour across the tail.  The tick disarms once the fleet is
-  /// idle and a cooldown-satisfied evaluation fires no event (windowed
-  /// signals abstain on an empty window; kQueueDepth keeps shrinking to the
-  /// minimum first), and re-arms on new work.
+  /// Event-pump evaluation period.  0 evaluates only when a request arrives
+  /// (and is therefore blind to the post-burst drain tail).  > 0 arms a
+  /// periodic tick in the event pump: the autoscaler also runs between
+  /// arrivals and through the drain to quiescence, so an idle fleet scales
+  /// back to its minimum instead of burning $/hour across the tail.  The
+  /// tick disarms once the fleet is idle and a cooldown-satisfied evaluation
+  /// fires no event (windowed signals abstain on an empty window;
+  /// kQueueDepth keeps shrinking to the minimum first), and re-arms on new
+  /// work.
   double tick_seconds = 0;
 
-  /// Cost-aware objective (pools mode): when several pools signal
-  /// scale-down in the same evaluation, retire capacity from the most
-  /// expensive pool first — the biggest cut to predicted $/1M tokens per
-  /// event.  Scale-ups stay SLO-driven.
+  /// Cost-aware objective: when several pools signal scale-down in the same
+  /// evaluation, retire capacity from the most expensive pool first — the
+  /// biggest cut to predicted $/1M tokens per event.  Scale-ups stay
+  /// SLO-driven.
   bool cost_aware = false;
   /// Optional scale-up budget cap: a growth event (other than min-replica
   /// enforcement) is vetoed when the predicted post-scale $/1M tokens —
   /// fleet $/hour over the recent token rate — exceeds this.  0 disables.
   double max_dollars_per_m_tokens = 0;
-  /// Window for the recent-token-rate estimate behind the cost predictions.
+  /// Window for the recent-token-rate estimate behind the cost predictions,
+  /// and for the fleet-wide TTFT/TPOT metrics gauges.
   double cost_window_seconds = 10.0;
   /// Prompt size used to probe PredictTtft-based admission feasibility
   /// before a scale-down: the removal is vetoed when no surviving
@@ -169,7 +146,7 @@ struct AutoscaleConfig {
   /// evaluation in the window read low), so a momentarily empty queue
   /// between Poisson gaps doesn't retire capacity the next burst instant
   /// needs back.  Time-based on purpose — an eval count would collapse to
-  /// nothing at burst arrival rates.  0 = legacy immediate shrink.
+  /// nothing at burst arrival rates.  0 = immediate shrink.
   double shrink_stable_seconds = 0;
 };
 
@@ -272,8 +249,9 @@ class ClusterSimulator {
   }
 
  private:
-  /// Sentinel pool index: the replica belongs to no autoscale pool (legacy
-  /// single-pool mode, or a spec no configured pool's role matches).
+  /// Sentinel pool index: the replica belongs to no autoscale pool (no
+  /// configured pool's role matches its spec), so no pool grows or shrinks
+  /// it.
   static constexpr std::size_t kNoPool = static_cast<std::size_t>(-1);
 
   struct Replica {
@@ -319,6 +297,11 @@ class ClusterSimulator {
     double due = 0;
     serving::TimedRequest request;
   };
+  /// Heap order for pending_retries_: the earliest due, ties toward the
+  /// lowest request id, surfaces first.
+  static bool ReleasesAfter(const PendingRetry& a, const PendingRetry& b) {
+    return a.due != b.due ? a.due > b.due : a.request.id > b.request.id;
+  }
 
   /// Snapshots every replica for a routing decision.  `signature` (when
   /// given) lets the TTFT estimate price the prefix-cache discount at each
@@ -349,20 +332,21 @@ class ClusterSimulator {
   /// Lands every due migration: AcceptMigrated on a live target, the retry
   /// path when the target died mid-transfer.
   void LandMigrationsThrough(double deadline);
+  /// Due time of the earliest pending retry; infinity when none wait.
+  [[nodiscard]] double NextRetryDue() const;
+  /// Routes every pending retry due by `deadline`, earliest first.
   void ReleaseRetriesThrough(double deadline);
+  /// Per-pool signals, at most one scale event per call (the shared cooldown
+  /// paces the loop), SLO-driven growth outranking cost-driven shrink.
   void MaybeAutoscale(double now);
-  /// Role-typed pools evaluation: per-pool signals, at most one scale event
-  /// per call (the shared cooldown paces the loop), SLO-driven growth
-  /// outranking cost-driven shrink.
-  void AutoscalePools(double now);
   [[nodiscard]] PoolSignal EvalPool(std::size_t pool, double now);
   /// First configured pool whose role matches, else kNoPool.
   [[nodiscard]] std::size_t PoolFor(ReplicaRole role) const;
-  /// Least-outstanding active replica of `pool` (kNoPool = whole fleet) that
-  /// is safe to retire: never the last active replica of a specialized role,
-  /// and replicas with KV imports in flight are passed over while a quieter
-  /// victim exists (retiring them would force the coordinator to re-plan
-  /// transfers RemoveReplica can otherwise leave alone).
+  /// Least-outstanding active replica of `pool` that is safe to retire:
+  /// never the last active replica of a specialized role, and replicas with
+  /// KV imports in flight are passed over while a quieter victim exists
+  /// (retiring them would force the coordinator to re-plan transfers
+  /// RemoveReplica can otherwise leave alone).
   [[nodiscard]] std::size_t PickScaleDownVictim(std::size_t pool) const;
   [[nodiscard]] bool LastActiveOfRole(const Replica& replica) const;
   void CommitScaleUp(std::size_t pool, const ReplicaSpec& spec, double now,
@@ -423,8 +407,6 @@ class ClusterSimulator {
   /// included, so each distinct GEMM block is simulated once per fleet.
   std::shared_ptr<simgpu::BlockPipelineCache> block_cache_ =
       std::make_shared<simgpu::BlockPipelineCache>();
-  /// First added spec.
-  std::optional<ReplicaSpec> autoscale_spec_;
   /// Counters accumulated during the run.
   FleetStats tally_;
   double last_scale_event_ = -1e300;
@@ -432,6 +414,8 @@ class ClusterSimulator {
   std::vector<KillEvent> kill_schedule_;
   /// Pending, consumed by Run.
   std::vector<DegradeEvent> degrade_schedule_;
+  /// Backoff retries, a binary heap under ReleasesAfter: the front is the
+  /// next release, so a re-route storm costs O(log n) per retry.
   std::vector<PendingRetry> pending_retries_;
   /// Original routed request by id, so a kill can re-submit the original
   /// (session/tenant intact) rather than the scheduler's mutated view.
@@ -443,9 +427,9 @@ class ClusterSimulator {
   std::unordered_set<std::uint64_t> migrated_ids_;
   /// Visible stalls, sample pool.
   std::vector<double> migration_seconds_;
+  /// Passive fleet-wide TTFT and TPOT windows behind the metrics gauges;
+  /// read by nothing that steers the simulation.
   SlidingWindowStats ttft_window_;
-  /// Passive fleet-wide TPOT window behind the metrics gauge; fed alongside
-  /// ttft_window_ but read by nothing that steers the simulation.
   SlidingWindowStats tpot_window_;
   /// Per-pool signal windows, parallel to autoscale_.pools.
   std::vector<PoolRuntime> pool_runtime_;
@@ -459,9 +443,6 @@ class ClusterSimulator {
   /// Scale-down requires this evidence: a cold fleet with an empty queue is
   /// unprovisioned, not overprovisioned.
   bool work_observed_ = false;
-  /// Legacy-path downscale-stabilization state (pools keep theirs in
-  /// PoolRuntime); < 0 = not currently reading low.
-  double legacy_low_since_ = -1;
   /// A stabilizing shrink is waiting out its window; keeps the periodic
   /// tick armed through an otherwise idle fleet so the shrink can land.
   bool shrink_pending_ = false;

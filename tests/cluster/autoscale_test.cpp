@@ -71,11 +71,14 @@ void ExpectConservation(const FleetStats& s) {
 AutoscaleConfig DrainTailConfig(double tick_seconds) {
   AutoscaleConfig autoscale;
   autoscale.enabled = true;
-  autoscale.signal = AutoscaleSignal::kQueueDepth;
-  autoscale.queue_high = 4.0;
-  autoscale.queue_low = 0.5;
-  autoscale.min_replicas = 1;
-  autoscale.max_replicas = 6;
+  AutoscalePool pool;
+  pool.spec = Spec(ReplicaRole::kUnified);
+  pool.signal = AutoscaleSignal::kQueueDepth;
+  pool.high = 4.0;
+  pool.low = 0.5;
+  pool.min_replicas = 1;
+  pool.max_replicas = 6;
+  autoscale.pools = {pool};
   autoscale.cooldown_seconds = 0.05;
   autoscale.tick_seconds = tick_seconds;
   return autoscale;
@@ -86,7 +89,7 @@ FleetStats RunDrainTail(double tick_seconds) {
                        DrainTailConfig(tick_seconds));
   sim.AddReplica(Spec(ReplicaRole::kUnified));
   // A hard burst, then a long idle tail closed by one straggler 60 s later:
-  // with the legacy arrival-driven autoscaler nothing runs between the last
+  // with the arrival-driven autoscaler nothing runs between the last
   // burst arrival and the straggler, so the scaled-up fleet burns $/hour
   // across the whole tail.
   std::vector<TimedRequest> trace = Burst(120, /*seed=*/5, /*rate=*/500.0);
@@ -106,8 +109,8 @@ TEST(AutoscaleTest, DrainTailScalesBackToMinReplicas) {
   EXPECT_EQ(ticked.replicas_final, 1u);  // back to min_replicas
   ExpectConservation(ticked);
 
-  // The legacy arrival-driven config (tick_seconds = 0) is preserved for
-  // golden compatibility — and demonstrates the bug: the fleet holds peak
+  // The arrival-driven config (tick_seconds = 0) is preserved for golden
+  // compatibility — and demonstrates the bug: the fleet holds peak
   // size across the idle tail (at most the straggler's own arrival can
   // trigger a single late scale-down).
   const FleetStats legacy = RunDrainTail(/*tick_seconds=*/0);
@@ -129,11 +132,14 @@ TEST(AutoscaleTest, AbstainingWindowedSignalCannotWedgeTheTickLoop) {
   // all is the assertion.
   AutoscaleConfig autoscale;
   autoscale.enabled = true;
-  autoscale.signal = AutoscaleSignal::kTailTtft;
-  autoscale.ttft_p99_high = 1e9;
-  autoscale.ttft_p99_low = 10.0;  // everything reads "low": shrink desired
-  autoscale.window_seconds = 2.0;
-  autoscale.min_window_samples = 2;
+  AutoscalePool pool;
+  pool.spec = Spec(ReplicaRole::kUnified);
+  pool.signal = AutoscaleSignal::kTailTtft;
+  pool.high = 1e9;
+  pool.low = 10.0;  // everything reads "low": shrink desired
+  pool.window_seconds = 2.0;
+  pool.min_window_samples = 2;
+  autoscale.pools = {pool};
   autoscale.cooldown_seconds = 0.1;
   autoscale.tick_seconds = 0.25;
   autoscale.shrink_stable_seconds = 30.0;  // longer than the window drains
@@ -176,8 +182,8 @@ TEST(AutoscaleTest, DecodeBoundFleetGrowsDecodePoolNotFirstSpec) {
   disagg.max_migration_seconds = 0.5;
   ClusterSimulator sim(RoutePolicy::kLeastOutstanding, autoscale, {}, {},
                        disagg);
-  // The PREFILL spec is added first: the legacy autoscaler would have cloned
-  // it no matter which pool hurt.
+  // The PREFILL spec is added first: a fleet-wide autoscaler that cloned the
+  // first spec would grow it no matter which pool hurt.
   sim.AddReplica(Spec(ReplicaRole::kPrefill));
   sim.AddReplica(Spec(ReplicaRole::kDecode));
   sim.AddReplica(Spec(ReplicaRole::kDecode));
@@ -287,12 +293,15 @@ TEST(AutoscaleTest, DegradedReplicaCountsAsFractionalCapacity) {
   const auto run = [](bool degrade) {
     AutoscaleConfig autoscale;
     autoscale.enabled = true;
-    autoscale.signal = AutoscaleSignal::kQueueDepth;
+    AutoscalePool pool;
+    pool.spec = Spec(ReplicaRole::kUnified);
+    pool.signal = AutoscaleSignal::kQueueDepth;
     // Raw mean over 2 replicas peaks at 12/2 = 6 < 8; effective-capacity
     // mean with one replica degraded 8x peaks at 12/1.125 ≈ 10.7 > 8.
-    autoscale.queue_high = 8.0;
-    autoscale.queue_low = -1.0;
-    autoscale.max_replicas = 4;
+    pool.high = 8.0;
+    pool.low = -1.0;
+    pool.max_replicas = 4;
+    autoscale.pools = {pool};
     autoscale.cooldown_seconds = 0.01;
     ClusterSimulator sim(RoutePolicy::kLeastOutstanding, autoscale);
     sim.AddReplica(Spec(ReplicaRole::kUnified));

@@ -30,13 +30,16 @@ ReplicaSpec CanonicalReplica() {
 FleetStats RunCanonicalChaos() {
   AutoscaleConfig autoscale;
   autoscale.enabled = true;
-  autoscale.signal = AutoscaleSignal::kTailTtft;
-  autoscale.ttft_p99_high = 1.0;
-  autoscale.ttft_p99_low = 0.001;  // effectively never scale down: the kills
-                                   // are this episode's shrink events
-  autoscale.window_seconds = 5.0;
-  autoscale.min_window_samples = 8;
-  autoscale.max_replicas = 5;
+  AutoscalePool pool;
+  pool.spec = CanonicalReplica();
+  pool.signal = AutoscaleSignal::kTailTtft;
+  pool.high = 1.0;
+  pool.low = 0.001;  // effectively never scale down: the kills are this
+                     // episode's shrink events
+  pool.window_seconds = 5.0;
+  pool.min_window_samples = 8;
+  pool.max_replicas = 5;
+  autoscale.pools = {pool};
   autoscale.cooldown_seconds = 0.5;
   SloConfig slo;
   slo.ttft_budget = 2.0;

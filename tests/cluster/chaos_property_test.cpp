@@ -10,11 +10,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <map>
 #include <vector>
 
 #include "cluster/cluster_sim.hpp"
+#include "obs/trace_recorder.hpp"
 #include "serving/workload.hpp"
 #include "util/rng.hpp"
 
@@ -53,17 +56,37 @@ ChaosScenario RandomScenario(std::uint64_t seed) {
   s.replicas = 2 + static_cast<std::size_t>(rng.Below(3));  // 2..4
   s.pool_blocks = 64 + static_cast<std::size_t>(rng.Below(3)) * 64;
 
-  // Half the scenarios autoscale, split between the two signals.
+  // Half the scenarios autoscale the whole fleet as one unified pool,
+  // spread over all four signals with thresholds in each signal's units.
   if (rng.NextDouble() < 0.5) {
+    const AutoscaleSignal signals[] = {
+        AutoscaleSignal::kQueueDepth, AutoscaleSignal::kTailTtft,
+        AutoscaleSignal::kFreeKv, AutoscaleSignal::kTailTpot};
+    AutoscalePool pool;
+    pool.spec = ChaosReplica(s.pool_blocks);
+    pool.signal = signals[rng.Below(4)];
+    switch (pool.signal) {
+      case AutoscaleSignal::kQueueDepth:  // requests per replica
+        pool.high = rng.Uniform(3.0, 10.0);
+        pool.low = rng.Uniform(0.1, 1.0);
+        break;
+      case AutoscaleSignal::kTailTtft:  // seconds
+        pool.high = rng.Uniform(0.5, 3.0);
+        pool.low = rng.Uniform(0.01, 0.2);
+        break;
+      case AutoscaleSignal::kFreeKv:  // used fraction of the KV pool
+        pool.high = rng.Uniform(0.6, 0.95);
+        pool.low = rng.Uniform(0.05, 0.3);
+        break;
+      case AutoscaleSignal::kTailTpot:  // seconds per output token
+        pool.high = rng.Uniform(0.0025, 0.0045);
+        pool.low = rng.Uniform(0.001, 0.0028);
+        break;
+    }
+    pool.window_seconds = rng.Uniform(2.0, 15.0);
+    pool.max_replicas = 6;
     s.autoscale.enabled = true;
-    s.autoscale.signal = rng.NextDouble() < 0.5 ? AutoscaleSignal::kQueueDepth
-                                                : AutoscaleSignal::kTailTtft;
-    s.autoscale.queue_high = rng.Uniform(3.0, 10.0);
-    s.autoscale.queue_low = rng.Uniform(0.1, 1.0);
-    s.autoscale.ttft_p99_high = rng.Uniform(0.5, 3.0);
-    s.autoscale.ttft_p99_low = rng.Uniform(0.01, 0.2);
-    s.autoscale.window_seconds = rng.Uniform(2.0, 15.0);
-    s.autoscale.max_replicas = 6;
+    s.autoscale.pools = {pool};
     s.autoscale.cooldown_seconds = rng.Uniform(0.0, 1.0);
   }
   // Half run SLO admission control with a budget tight enough to trip.
@@ -112,6 +135,7 @@ void ExpectConservation(const FleetStats& stats, std::uint64_t seed) {
 TEST(ChaosPropertyTest, ConservationHoldsAcrossRandomChaos) {
   std::size_t scenarios_with_losses = 0;
   std::size_t scenarios_with_rejections = 0;
+  std::size_t scaled_by_signal[4] = {};  // indexed by AutoscaleSignal
   for (std::uint64_t seed = 1; seed <= 60; ++seed) {
     const ChaosScenario s = RandomScenario(seed);
     ClusterSimulator sim(s.policy, s.autoscale, s.slo);
@@ -128,6 +152,10 @@ TEST(ChaosPropertyTest, ConservationHoldsAcrossRandomChaos) {
     EXPECT_LE(stats.killed_replicas, s.kills.size()) << "seed " << seed;
     if (stats.lost_requests > 0) ++scenarios_with_losses;
     if (stats.rejected_requests > 0) ++scenarios_with_rejections;
+    if (!s.autoscale.pools.empty() && stats.scale_ups + stats.scale_downs > 0) {
+      ++scaled_by_signal[static_cast<std::size_t>(
+          s.autoscale.pools.front().signal)];
+    }
     // Wasted work only arises from kills, and never exceeds what the fleet
     // generated in total (delivered + wasted).
     if (stats.killed_replicas == 0) {
@@ -139,6 +167,10 @@ TEST(ChaosPropertyTest, ConservationHoldsAcrossRandomChaos) {
   // scenarios; if these drop to zero the test lost its teeth.
   EXPECT_GT(scenarios_with_losses, 10u);
   EXPECT_GT(scenarios_with_rejections, 5u);
+  for (std::size_t signal = 0; signal < 4; ++signal) {
+    EXPECT_GT(scaled_by_signal[signal], 0u)
+        << "no scenario scaled on signal " << signal;
+  }
   std::printf("chaos: %zu/60 scenarios lost in-flight work, %zu/60 shed load\n",
               scenarios_with_losses, scenarios_with_rejections);
 }
@@ -250,6 +282,59 @@ TEST(ChaosPropertyTest, RetriesSurviveKillAndComplete) {
   EXPECT_EQ(stats.completed, stats.submitted);  // every request finishes
   EXPECT_TRUE(stats.replicas[1].killed);
   EXPECT_FALSE(stats.replicas[1].active);
+}
+
+TEST(ChaosPropertyTest, SameInstantRetriesRouteInAscendingRequestId) {
+  // A kill under a fixed backoff (every lost request is on its first retry,
+  // so all share one due instant) re-routes the whole batch at once; the
+  // release order is pinned to ascending request id, whatever order the
+  // dying scheduler forfeited them in.
+  RetryPolicy retry;
+  retry.base_backoff_seconds = 0.25;
+  ClusterSimulator sim(RoutePolicy::kLeastOutstanding, {}, {}, retry);
+  for (int i = 0; i < 3; ++i) sim.AddReplica(ChaosReplica(512));
+  serving::TraceConfig config;
+  config.arrival_rate_per_s = 120.0;
+  config.count = 90;
+  config.prompt_min = 256;
+  config.prompt_max = 1024;
+  config.output_min = 64;
+  config.output_max = 192;
+  std::vector<serving::TimedRequest> trace =
+      serving::GenerateTrace(config, 31);
+  // Ids run against arrival order, so the dying scheduler forfeits its work
+  // (admitted in arrival order) in descending id order.
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    trace[i].id = 1000 - i;
+  }
+  sim.ScheduleKill({trace[2 * trace.size() / 3].arrival_seconds, 1});
+  obs::TraceRecorder recorder;
+  sim.AttachTelemetry(&recorder, nullptr);
+  const FleetStats stats = sim.Run(trace);
+  ExpectConservation(stats, 31);
+
+  // Per due instant: ids in scheduling order and in routing order.
+  std::map<std::uint64_t, double> due_of;
+  std::map<double, std::vector<std::uint64_t>> scheduled, routed;
+  for (const obs::TraceEvent& e : recorder.events()) {
+    if (e.type == obs::TraceEventType::kRetryScheduled) {
+      due_of[e.id] = e.a1;
+      scheduled[e.a1].push_back(e.id);
+    } else if (e.type == obs::TraceEventType::kArrival && e.a2 > 0) {
+      routed[due_of.at(e.id)].push_back(e.id);
+    }
+  }
+  ASSERT_EQ(routed.size(), 1u);  // one kill, one fixed backoff
+  const std::vector<std::uint64_t>& batch = routed.begin()->second;
+  EXPECT_EQ(batch.size(), stats.retried_requests);
+  EXPECT_GT(batch.size(), 4u);
+  EXPECT_TRUE(std::is_sorted(batch.begin(), batch.end()));
+  // The pin has teeth: the kill forfeited the batch out of id order.
+  const std::vector<std::uint64_t>& forfeit = scheduled.begin()->second;
+  EXPECT_FALSE(std::is_sorted(forfeit.begin(), forfeit.end()));
+  std::vector<std::uint64_t> sorted = forfeit;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(batch, sorted);
 }
 
 }  // namespace

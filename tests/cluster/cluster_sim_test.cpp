@@ -122,9 +122,12 @@ TEST(ClusterSimTest, RemoveLastReplicaRefused) {
 TEST(ClusterSimTest, AutoscaleAddsReplicasUnderBurst) {
   AutoscaleConfig autoscale;
   autoscale.enabled = true;
-  autoscale.queue_high = 4.0;
-  autoscale.queue_low = -1.0;  // never scale down in this test
-  autoscale.max_replicas = 6;
+  AutoscalePool pool;
+  pool.spec = SmallReplica();
+  pool.high = 4.0;
+  pool.low = -1.0;  // never scale down in this test
+  pool.max_replicas = 6;
+  autoscale.pools = {pool};
   autoscale.cooldown_seconds = 0.01;
   ClusterSimulator sim(RoutePolicy::kLeastOutstanding, autoscale);
   sim.AddReplica(SmallReplica());
@@ -138,9 +141,12 @@ TEST(ClusterSimTest, AutoscaleAddsReplicasUnderBurst) {
 TEST(ClusterSimTest, AutoscaleScalesDownWhenIdle) {
   AutoscaleConfig autoscale;
   autoscale.enabled = true;
-  autoscale.queue_high = 1e9;  // never scale up
-  autoscale.queue_low = 0.5;
-  autoscale.min_replicas = 1;
+  AutoscalePool pool;
+  pool.spec = SmallReplica();
+  pool.high = 1e9;  // never scale up
+  pool.low = 0.5;
+  pool.min_replicas = 1;
+  autoscale.pools = {pool};
   autoscale.cooldown_seconds = 0.0;
   ClusterSimulator sim(RoutePolicy::kLeastOutstanding, autoscale);
   for (int i = 0; i < 4; ++i) sim.AddReplica(SmallReplica());
@@ -311,12 +317,15 @@ TEST(ClusterSimTest, SloAdmissionControlShedsOverload) {
 TEST(ClusterSimTest, TailTtftAutoscaleAddsReplicasUnderBurst) {
   AutoscaleConfig autoscale;
   autoscale.enabled = true;
-  autoscale.signal = AutoscaleSignal::kTailTtft;
-  autoscale.ttft_p99_high = 0.2;
-  autoscale.ttft_p99_low = -1.0;  // never scale down in this test
-  autoscale.window_seconds = 30.0;
-  autoscale.min_window_samples = 2;
-  autoscale.max_replicas = 6;
+  AutoscalePool pool;
+  pool.spec = HeavyReplica();
+  pool.signal = AutoscaleSignal::kTailTtft;
+  pool.high = 0.2;
+  pool.low = -1.0;  // never scale down in this test
+  pool.window_seconds = 30.0;
+  pool.min_window_samples = 2;
+  pool.max_replicas = 6;
+  autoscale.pools = {pool};
   autoscale.cooldown_seconds = 0.01;
   ClusterSimulator sim(RoutePolicy::kLeastOutstanding, autoscale);
   sim.AddReplica(HeavyReplica());

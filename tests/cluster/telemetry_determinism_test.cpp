@@ -115,24 +115,25 @@ FleetStats WithoutWallClock(FleetStats stats) {
 /// queue-depth autoscaling, two partial degradations and a mid-run kill.
 FleetStats RunShedAndDegradeEpisode(obs::TraceRecorder* recorder,
                                     obs::MetricsRegistry* metrics) {
+  ReplicaSpec spec = CanonicalReplica(ReplicaRole::kUnified);
+  spec.kv_pool_blocks = 512;
   AutoscaleConfig autoscale;
   autoscale.enabled = true;
-  autoscale.signal = AutoscaleSignal::kQueueDepth;
-  autoscale.queue_high = 6.0;
-  autoscale.queue_low = 0.5;
-  autoscale.window_seconds = 4.0;
-  autoscale.max_replicas = 5;
+  AutoscalePool pool;
+  pool.spec = spec;
+  pool.signal = AutoscaleSignal::kQueueDepth;
+  pool.high = 6.0;
+  pool.low = 0.5;
+  pool.window_seconds = 4.0;
+  pool.max_replicas = 5;
+  autoscale.pools = {pool};
   autoscale.cooldown_seconds = 0.5;
   SloConfig slo;
   slo.ttft_budget = 0.5;
   slo.reject_above = 1.0;
 
   ClusterSimulator sim(RoutePolicy::kLeastOutstanding, autoscale, slo);
-  for (int i = 0; i < 3; ++i) {
-    ReplicaSpec spec = CanonicalReplica(ReplicaRole::kUnified);
-    spec.kv_pool_blocks = 512;
-    sim.AddReplica(spec);
-  }
+  for (int i = 0; i < 3; ++i) sim.AddReplica(spec);
 
   serving::TraceConfig config;
   config.arrival_rate_per_s = 200.0;

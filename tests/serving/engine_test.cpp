@@ -9,9 +9,19 @@
 #include <algorithm>
 #include <cctype>
 #include <memory>
+#include <ostream>
 #include <string>
 
 namespace liquid::serving {
+
+/// Prints a preset by name, so the parameterized test ids ctest discovers
+/// are stable (gtest would otherwise print the raw object bytes, heap
+/// pointers included).  Lives beside SystemPreset for argument-dependent
+/// lookup.
+void PrintTo(const SystemPreset& preset, std::ostream* os) {
+  *os << preset.name;
+}
+
 namespace {
 
 const simgpu::HardwareSpec kH800 = simgpu::HardwareSpec::H800();
@@ -329,6 +339,13 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+TEST(EnginePriceTestIds, PresetPrintsItsNameNotRawBytes) {
+  const std::string printed =
+      ::testing::PrintToString(SystemPreset::LiquidServe());
+  EXPECT_EQ(printed.find("-byte object"), std::string::npos) << printed;
+  EXPECT_EQ(printed, SystemPreset::LiquidServe().name);
+}
 
 }  // namespace
 }  // namespace liquid::serving

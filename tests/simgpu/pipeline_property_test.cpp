@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "simgpu/block_pipeline.hpp"
 
 namespace liquid::simgpu {
@@ -19,6 +22,21 @@ struct PipelineCase {
   PipelineKind kind;
   Regime regime;
 };
+
+/// Names each case by its pipeline and regime, so the test ids ctest
+/// discovers are readable and stable (gtest would otherwise print the raw
+/// struct bytes, padding included).
+void PrintTo(const PipelineCase& c, std::ostream* os) {
+  const char* kind = "ImFP";
+  switch (c.kind) {
+    case PipelineKind::kSymmetric: kind = "Symmetric"; break;
+    case PipelineKind::kSerial: kind = "Serial"; break;
+    case PipelineKind::kExCP: kind = "ExCP"; break;
+    case PipelineKind::kImFP: break;
+  }
+  *os << kind << " load=" << c.regime.t_load << " dq=" << c.regime.t_dq
+      << " mma=" << c.regime.t_mma;
+}
 
 class PipelinePropertyTest : public ::testing::TestWithParam<PipelineCase> {};
 
@@ -111,6 +129,12 @@ std::vector<PipelineCase> AllCases() {
 
 INSTANTIATE_TEST_SUITE_P(Grid, PipelinePropertyTest,
                          ::testing::ValuesIn(AllCases()));
+
+TEST(PipelineCaseTest, PrintsKindAndRegimeNotRawBytes) {
+  const std::string printed = ::testing::PrintToString(AllCases().back());
+  EXPECT_EQ(printed.find("-byte object"), std::string::npos) << printed;
+  EXPECT_EQ(printed, "ImFP load=1 dq=0 mma=1");
+}
 
 }  // namespace
 }  // namespace liquid::simgpu
